@@ -132,12 +132,29 @@ def blaschke_factor(lam, z) -> complex | np.ndarray:
     return out if out.ndim else complex(out)
 
 
+def running_products(zeros, z, start=None):
+    """Yield start * B_0(z), start * B_1(z), ..., start * B_n(z) for the
+    prefixes of `zeros`, multiplying in one factor per step (vectorized over
+    z of any shape; start defaults to 1).
+
+    Every product the library evaluates is formed here, one multiplication
+    per factor in sequence order; only the independent oracles (triangular
+    reconstruction, the selftest span builder) multiply their own.
+    """
+    z = np.asarray(z, dtype=complex)
+    # the running product replaces `start`, so no earlier product stays alive
+    if start is None:
+        start = np.ones_like(z)
+    yield start
+    for zero in zeros:
+        start = start * blaschke_factor(zero, z)
+        yield start
+
+
 def product_eval(product: FiniteBlaschkeProduct, z) -> complex | np.ndarray:
     """Evaluate the finite product at z (vectorized); 1 for the empty product."""
-    z = np.asarray(z, dtype=complex)
-    out = np.ones_like(z)
-    for zero in product.zeros:
-        out = out * blaschke_factor(zero, z)
+    for out in running_products(product.zeros, z):
+        pass
     return out if out.ndim else complex(out)
 
 
@@ -175,7 +192,8 @@ def _parse_float(text: str, what: str) -> float:
         raise PreconditionError(f"bad {what}: {text!r}") from exc
 
 
-def _parse_complex(text: str) -> complex:
+def parse_complex(text: str) -> complex:
+    """A complex literal that may write the imaginary unit as i or j."""
     cleaned = text.strip().replace(" ", "").replace("i", "j")
     try:
         return complex(cleaned)
@@ -189,7 +207,7 @@ def _parse_point_list(body: str) -> list[complex]:
         body = body[1:-1]
     if not body.strip():
         raise PreconditionError("explicit point list is empty")
-    return [_parse_complex(part) for part in body.split(",")]
+    return [parse_complex(part) for part in body.split(",")]
 
 
 def make_sequence(spec: str, count: int) -> PointSequence:
@@ -252,9 +270,4 @@ def pointwise_decay_check(seq: PointSequence, z, n_max: int) -> list[float]:
     zval = point_value(z)
     if not 0 <= n_max <= len(seq):
         raise PreconditionError(f"n_max {n_max} outside 0..{len(seq)}")
-    values = [1.0]
-    running = 1.0 + 0.0j
-    for lam in seq.points[:n_max]:
-        running *= blaschke_factor(lam, zval)
-        values.append(abs(running))
-    return values
+    return [float(abs(value)) for value in running_products(seq.points[:n_max], zval)]

@@ -20,6 +20,7 @@ from .blaschke import (
     FiniteBlaschkeProduct,
     cauchy_kernel,
     make_sequence,
+    parse_complex,
     pole_radius,
     product_as_function,
 )
@@ -32,12 +33,11 @@ from .serialize import dumps_canonical, write_with_sidecar
 from .tmw import DEFAULT_TMW_SAMPLE_COUNT, functional_norm, gram_matrix, lacunary_witness
 
 
-def _parse_complex(text: str, flag: str) -> complex:
-    cleaned = text.strip().replace(" ", "").replace("i", "j")
+def _parse_func_complex(text: str) -> complex:
     try:
-        return complex(cleaned)
-    except ValueError:
-        raise PreconditionError(f"{flag}: bad complex literal {text!r}") from None
+        return parse_complex(text)
+    except PreconditionError:
+        raise PreconditionError(f"--func: bad complex literal {text!r}") from None
 
 
 def parse_function_spec(text: str, sample_count: int) -> BoundaryFunction:
@@ -51,15 +51,15 @@ def parse_function_spec(text: str, sample_count: int) -> BoundaryFunction:
     """
     kind, _, body = text.partition(":")
     if kind == "poly" and body:
-        coeffs = [_parse_complex(part, "--func") for part in body.split(",")]
+        coeffs = [_parse_func_complex(part) for part in body.split(",")]
         return from_taylor(coeffs, sample_count)
     if kind == "kernel" and body:
-        return cauchy_kernel(_parse_complex(body, "--func"), sample_count)
+        return cauchy_kernel(_parse_func_complex(body), sample_count)
     if kind == "blaschke" and body:
-        zeros = [_parse_complex(part, "--func") for part in body.split(";")]
+        zeros = [_parse_func_complex(part) for part in body.split(";")]
         return product_as_function(FiniteBlaschkeProduct(np.array(zeros)), sample_count)
     if kind == "ratgeo" and body:
-        c = _parse_complex(body, "--func")
+        c = _parse_func_complex(body)
         coeffs = c ** np.arange(sample_count // 2, dtype=float)
         return from_taylor(coeffs, sample_count, pole_radius(c))
     if kind == "file" and body:
@@ -78,7 +78,7 @@ def parse_function_spec(text: str, sample_count: int) -> BoundaryFunction:
 
 
 def _resolve_samples(flag_value: int | None, fallback: int) -> int:
-    if flag_value:
+    if flag_value is not None:
         return flag_value
     env = os.environ.get("BLASCHKE_SAMPLES")
     if env is None:
@@ -119,7 +119,7 @@ def _cmd_convergence(args) -> int:
             raise PreconditionError(f"--bound: unknown bound type {args.bound!r}")
         if not args.func.startswith("kernel:"):
             raise PreconditionError("--bound kernel requires --func kernel:<point>")
-        kernel_alpha = _parse_complex(args.func.partition(":")[2], "--func")
+        kernel_alpha = _parse_func_complex(args.func.partition(":")[2])
     table = convergence_study(f, seq, args.nterms, specs, kernel_alpha=kernel_alpha)
     out = args.out or "convergence.csv"
     write_with_sidecar(out, table.to_csv(), sys.argv[1:], __version__)
@@ -156,9 +156,14 @@ def _cmd_tmw(args) -> int:
         out = args.out or "functional.json"
     else:
         seq = make_sequence(args.seq, args.kmax)
-        support = args.support if args.support == "pow2" else [
-            int(part) for part in args.support.split(",")
-        ]
+        try:
+            support = args.support if args.support == "pow2" else [
+                int(part) for part in args.support.split(",")
+            ]
+        except ValueError:
+            raise PreconditionError(
+                f"--support: expected 'pow2' or comma-separated indices, got {args.support!r}"
+            ) from None
         report = lacunary_witness(seq, args.kmax, exponent=args.exponent,
                                   support=support, sample_count=samples)
         payload = report.to_jsonable()

@@ -86,8 +86,9 @@ def point_value(point) -> complex:
 
 
 def _synthesize(taylor: np.ndarray) -> np.ndarray:
-    # samples[k] = sum_n taylor[n] * omega^(n k), omega = exp(2 pi i / M)
-    return np.fft.ifft(taylor) * taylor.size
+    # samples[k] = sum_n taylor[n] * omega^(n k), omega = exp(2 pi i / M),
+    # row by row along the last axis
+    return np.fft.ifft(taylor) * taylor.shape[-1]
 
 
 def _analyze(samples: np.ndarray) -> np.ndarray:
@@ -253,11 +254,13 @@ def eval_inside(f: BoundaryFunction, z) -> complex:
     return complex(np.polynomial.polynomial.polyval(zval, f.taylor))
 
 
-def samples_at_radius(f: BoundaryFunction, r: float) -> np.ndarray:
-    """Values f(r * omega^k) on the circle of radius r <= 1."""
-    if not 0.0 <= r <= 1.0:
+def samples_at_radius(f: BoundaryFunction, r) -> np.ndarray:
+    """Values f(r * omega^k) on the circle of radius r <= 1; an array of
+    radii gives one row of M values per radius, from one batched transform."""
+    radii = np.asarray(r, dtype=float)
+    if not np.all((0.0 <= radii) & (radii <= 1.0)):
         raise PreconditionError(f"radius must lie in [0, 1], got {r!r}")
-    weights = np.power(r, np.arange(f.sample_count, dtype=float))
+    weights = np.power(radii[..., None], np.arange(f.sample_count, dtype=float))
     return _synthesize(f.taylor * weights)
 
 

@@ -43,15 +43,6 @@ def hardy_norm(f: BoundaryFunction, p: float) -> float:
     return float(np.mean(np.abs(f.samples) ** p) ** (1.0 / p))
 
 
-def _validate_bergman_params(p: float, alpha: float, radial_nodes: int) -> None:
-    if p < 1.0:
-        raise PreconditionError(f"bergman_norm requires p >= 1, got {p!r}")
-    if alpha <= -1.0:
-        raise PreconditionError(f"bergman_norm requires alpha > -1, got {alpha!r}")
-    if radial_nodes < 1:
-        raise PreconditionError(f"radial_nodes must be positive, got {radial_nodes!r}")
-
-
 def bergman_radial_rule(alpha: float, radial_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Radii and weights integrating g -> int_0^1 g(r) (1+a)(1-r^2)^a 2r dr.
 
@@ -65,23 +56,11 @@ def bergman_radial_rule(alpha: float, radial_nodes: int) -> tuple[np.ndarray, np
     return np.sqrt(1.0 - u), weights
 
 
-def bergman_norm_from_rings(
-    ring_sampler,
-    p: float,
-    alpha: float = 0.0,
-    radial_nodes: int = DEFAULT_RADIAL_NODES,
-) -> float:
-    """Weighted Bergman norm where ring_sampler(r) yields the function's
-    values on the circle of radius r (trapezoid in angle, Gauss radially).
-
-    Lets callers that can evaluate interior circles exactly (products of
-    rational factors, say) bypass the boundary representation entirely.
-    """
-    p = float(p)
-    alpha = float(alpha)
-    _validate_bergman_params(p, alpha, radial_nodes)
-    radii, weights = bergman_radial_rule(alpha, radial_nodes)
-    angular_means = np.array([np.mean(np.abs(ring_sampler(r)) ** p) for r in radii])
+def bergman_quadrature(rings: np.ndarray, weights: np.ndarray, p: float) -> float:
+    """Weighted Bergman norm from a function's values on the circles of a
+    `bergman_radial_rule` (one row per radius): trapezoid in angle, Gauss
+    radially."""
+    angular_means = np.mean(np.abs(rings) ** p, axis=1)
     return float(np.dot(weights, angular_means) ** (1.0 / p))
 
 
@@ -94,9 +73,9 @@ def bergman_norm(
     """Weighted Bergman norm (integral of |f|^p (1+a)(1-|z|^2)^a dA/pi)^(1/p)."""
     if f.analytic_radius < 1.0:
         raise PreconditionError("bergman_norm needs a function analytic up to the boundary")
-    return bergman_norm_from_rings(
-        lambda r: samples_at_radius(f, r), p, alpha, radial_nodes
-    )
+    spec = NormSpec("bergman", float(p), float(alpha), radial_nodes)
+    radii, weights = bergman_radial_rule(spec.alpha, spec.radial_nodes)
+    return bergman_quadrature(samples_at_radius(f, radii), weights, spec.p)
 
 
 @dataclass(frozen=True)
@@ -115,6 +94,10 @@ class NormSpec:
             raise PreconditionError(f"norm exponent must satisfy p >= 1, got {self.p!r}")
         if self.kind == "bergman" and not self.alpha > -1.0:
             raise PreconditionError(f"Bergman weight needs alpha > -1, got {self.alpha!r}")
+        if self.kind == "bergman" and not self.radial_nodes >= 1:
+            raise PreconditionError(
+                f"Bergman radial_nodes must be positive, got {self.radial_nodes!r}"
+            )
 
     @classmethod
     def parse(cls, text: str) -> "NormSpec":

@@ -23,6 +23,7 @@ substitution and gives their uniqueness.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,12 +36,13 @@ from .blaschke import (
     blaschke_factor,
     pole_radius,
     product_eval,
+    running_products,
 )
 from .errors import AnalyticityError, PreconditionError
 from .fnspace import (
     UNBOUNDED_RADIUS,
     BoundaryFunction,
-    eval_inside,
+    eval_inside,  # noqa: F401 - a binding that bench/harness_checks.py inspects
     from_samples,
     samples_at_radius,
     unit_circle_grid,
@@ -49,9 +51,11 @@ from .norms import (
     DOMINATION_SLACK,
     EMBEDDING_CONSTANT,
     NormSpec,
+    bergman_quadrature,
     bergman_radial_rule,
     sup_norm,
 )
+from .toeplitz import zero_extraction_step
 
 #: Accumulated floating-point drift between f - S_N f and the closed-form
 #: remainder beyond this fraction of sup|f| invalidates an expansion.
@@ -110,42 +114,21 @@ def _require_expandable(seq: PointSequence, n_terms: int) -> None:
         )
 
 
-class _Chain:
-    """Toeplitz iterates h_n along a sequence prefix, with the point
-    evaluations e_n = h_{n-1}(lambda_n) and per-step factor samples."""
+def _iterates(f: BoundaryFunction, points: np.ndarray):
+    """Walk the Toeplitz chain along the points, holding one iterate at a time.
 
-    def __init__(self, f: BoundaryFunction, points: np.ndarray):
-        grid = unit_circle_grid(f.sample_count)
-        self.iterates = [f]  # h_0..h_N
-        self.evals = []  # e_1..e_N
-        self.factor_samples = []  # b_{lambda_1}..b_{lambda_N} on the grid
-        self.points = points
-        scale = float(np.max(np.abs(f.samples)))
-        h = f
-        for step, lam in enumerate(points, start=1):
-            value = eval_inside(h, lam)
-            b = blaschke_factor(lam, grid)
-            quotient = (h.samples - value * (1.0 - np.conj(lam) * b)) / b
-            radius = min(h.analytic_radius, pole_radius(lam))
-            try:
-                h = from_samples(quotient, radius, scale_floor=scale)
-            except AnalyticityError as exc:
-                raise AnalyticityError(f"analyticity degraded at step {step}: {exc}") from exc
-            self.evals.append(value)
-            self.factor_samples.append(b)
-            self.iterates.append(h)
-
-    def modulated_tail(self, n: int) -> np.ndarray:
-        """Samples of R_n f divided by B_n: the constant
-        -conj(lambda_n) h_{n-1}(lambda_n) plus h_n. Same moduli as R_n f."""
-        shift = -np.conj(self.points[n - 1]) * self.evals[n - 1]
-        return shift + self.iterates[n].samples
-
-    def product_samples(self, n: int) -> np.ndarray:
-        out = np.ones(self.iterates[0].sample_count, dtype=complex)
-        for b in self.factor_samples[:n]:
-            out = out * b
-        return out
+    Yields, for n = 1..len(points), the evaluation h_{n-1}(lambda_n), the
+    shift -conj(lambda_n) h_{n-1}(lambda_n) and the iterate h_n; R_n f is
+    (shift + h_n) * B_n, so shift + h_n has the moduli of R_n f on the circle.
+    """
+    scale = sup_norm(f)
+    h = f
+    for step, lam in enumerate(points, start=1):
+        try:
+            value, h = zero_extraction_step(h, lam, scale)
+        except AnalyticityError as exc:
+            raise AnalyticityError(f"analyticity degraded at step {step}: {exc}") from exc
+        yield value, -np.conj(lam) * value, h
 
 
 def expansion_coefficients(
@@ -160,25 +143,25 @@ def expansion_coefficients(
     with its step index.
     """
     _require_expandable(seq, n_terms)
-    chain = _Chain(f, seq.points[:n_terms])
-    evals = np.asarray(chain.evals, dtype=complex)
+    points = seq.points[:n_terms]
+    evals = np.empty(n_terms, dtype=complex)
+    residuals = np.empty(n_terms)
+    for n, (value, shift, h) in enumerate(_iterates(f, points)):
+        tail = shift + h.samples
+        evals[n] = value
+        residuals[n] = np.max(np.abs(tail))
 
     coefficients = np.empty(n_terms, dtype=complex)
     coefficients[0] = evals[0]
     if n_terms > 1:
-        coefficients[1:] = evals[1:] - np.conj(seq.points[: n_terms - 1]) * evals[:-1]
-
-    residuals = np.array(
-        [float(np.max(np.abs(chain.modulated_tail(n)))) for n in range(1, n_terms + 1)]
-    )
+        coefficients[1:] = evals[1:] - np.conj(points[:-1]) * evals[:-1]
 
     # Drift between the telescoped identity and the closed-form remainder.
+    products = running_products(points, unit_circle_grid(f.sample_count))
     grid_partial = np.zeros(f.sample_count, dtype=complex)
-    running = np.ones(f.sample_count, dtype=complex)
-    for n in range(n_terms):
-        grid_partial = grid_partial + coefficients[n] * running
-        running = running * chain.factor_samples[n]
-    closed_remainder = chain.modulated_tail(n_terms) * running
+    for c, product in zip(coefficients, products):  # stops before B_N
+        grid_partial = grid_partial + c * product
+    closed_remainder = tail * next(products)
     gap = float(np.max(np.abs(f.samples - grid_partial - closed_remainder)))
     scale = sup_norm(f)
     if gap > IDENTITY_GAP_RTOL * max(scale, 1e-300):
@@ -195,12 +178,10 @@ def partial_sum(result: ExpansionResult, n: int, sample_count: int) -> BoundaryF
         raise PreconditionError(
             f"partial-sum length {n} outside 0..{result.coefficients.size}"
         )
-    grid = unit_circle_grid(sample_count)
+    products = running_products(result.sequence.points[:n], unit_circle_grid(sample_count))
     total = np.zeros(sample_count, dtype=complex)
-    running = np.ones(sample_count, dtype=complex)
-    for k in range(n):
-        total = total + result.coefficients[k] * running
-        running = running * blaschke_factor(result.sequence.points[k], grid)
+    for c, product in zip(result.coefficients[:n], products):
+        total = total + c * product
     radius = min(
         (pole_radius(z) for z in result.sequence.points[: max(n - 1, 0)]),
         default=UNBOUNDED_RADIUS,
@@ -214,10 +195,10 @@ def remainder_closed_form(f: BoundaryFunction, seq: PointSequence, n: int) -> Bo
     if n < 1:
         raise PreconditionError(f"remainder index must be >= 1, got {n}")
     _require_expandable(seq, n)
-    chain = _Chain(f, seq.points[:n])
-    samples = chain.modulated_tail(n) * chain.product_samples(n)
-    scale = float(np.max(np.abs(f.samples)))
-    return from_samples(samples, chain.iterates[-1].analytic_radius, scale_floor=scale)
+    for _, shift, h in _iterates(f, seq.points[:n]):
+        pass
+    product = product_eval(FiniteBlaschkeProduct(seq.points[:n]), unit_circle_grid(f.sample_count))
+    return from_samples((shift + h.samples) * product, h.analytic_radius, scale_floor=sup_norm(f))
 
 
 def triangular_reconstruct(f_values, seq: PointSequence) -> np.ndarray:
@@ -284,9 +265,8 @@ def convergence_study(
     _require_expandable(seq, n_max)
     specs = [s if isinstance(s, NormSpec) else NormSpec.parse(s) for s in norm_specs]
     extra_specs = [s for s in specs if s.label != "sup"]
-    chain = _Chain(f, seq.points[:n_max])
-    m = f.sample_count
-    grid = unit_circle_grid(m)
+    points = seq.points[:n_max]
+    grid = unit_circle_grid(f.sample_count)
 
     labels = ["sup"] + [s.label for s in extra_specs]
     columns: dict[str, list[float]] = {label: [] for label in labels}
@@ -295,26 +275,23 @@ def convergence_study(
     # from its exact factors: the iterate's coefficients give the first part,
     # the rational formula gives the product. No spectral representation of
     # the (possibly heavily-tailed) product is ever formed.
-    ring_rules: dict[tuple[float, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    for spec in extra_specs:
-        key = (spec.alpha, spec.radial_nodes)
-        if spec.kind == "bergman" and key not in ring_rules:
-            radii, weights = bergman_radial_rule(spec.alpha, spec.radial_nodes)
-            products = np.ones((radii.size, m), dtype=complex)
-            ring_rules[key] = (radii, weights, products)
+    ring_rules = {
+        (s.alpha, s.radial_nodes): bergman_radial_rule(s.alpha, s.radial_nodes)
+        for s in extra_specs if s.kind == "bergman"
+    }
+    ring_products = {
+        key: running_products(points, radii[:, None] * grid)
+        for key, (radii, _) in ring_rules.items()
+    }
 
-    bound_values = []
-    if kernel_alpha is not None:
-        alpha = complex(kernel_alpha)
-        prev_b, running_b = 0.0 + 0.0j, 1.0 + 0.0j
-        for n in range(n_max + 1):
-            bound_values.append((abs(prev_b) + abs(running_b)) / (1.0 - abs(alpha)))
-            prev_b = running_b
-            if n < n_max:
-                running_b *= blaschke_factor(seq.points[n], alpha)
-
-    for n in range(n_max + 1):
-        modulated = f.samples if n == 0 else chain.modulated_tail(n)
+    # row 0 is R_0 f = f: no shift, and B_0 = 1
+    steps = itertools.chain([(0.0, f)], ((shift, h) for _, shift, h in _iterates(f, points)))
+    for n, (shift, h) in enumerate(steps):
+        modulated = shift + h.samples
+        rings = {
+            key: (shift + samples_at_radius(h, radii)) * next(ring_products[key])
+            for key, (radii, _) in ring_rules.items()
+        }
         sup_val = float(np.max(np.abs(modulated)))
         columns["sup"].append(sup_val)
         for spec in extra_specs:
@@ -324,45 +301,36 @@ def convergence_study(
                 # |R_n| = |modulated| on the grid since |B_n| = 1 there
                 val = float(np.mean(np.abs(modulated) ** spec.p) ** (1.0 / spec.p))
             else:
-                radii, weights, products = ring_rules[(spec.alpha, spec.radial_nodes)]
-                if n == 0:
-                    rings = np.array([samples_at_radius(f, r) for r in radii])
-                else:
-                    shift = -np.conj(seq.points[n - 1]) * chain.evals[n - 1]
-                    iterate = chain.iterates[n]
-                    rings = np.array(
-                        [shift + samples_at_radius(iterate, r) for r in radii]
-                    ) * products
-                means = np.mean(np.abs(rings) ** spec.p, axis=1)
-                val = float(np.dot(weights, means) ** (1.0 / spec.p))
+                key = (spec.alpha, spec.radial_nodes)
+                val = bergman_quadrature(rings[key], ring_rules[key][1], spec.p)
             if val > EMBEDDING_CONSTANT * sup_val + DOMINATION_SLACK:
                 raise AnalyticityError(
                     f"norm {spec.label} = {val:.12g} exceeds C0 * sup = {sup_val:.12g} "
                     f"at n = {n}"
                 )
             columns[spec.label].append(val)
-        if n < n_max:
-            for radii, _, products in ring_rules.values():
-                for i, r in enumerate(radii):
-                    products[i] *= blaschke_factor(seq.points[n], r * grid)
 
-    table_columns = dict(columns)
     if kernel_alpha is not None:
-        table_columns["bound"] = bound_values
-    return ConvergenceTable(list(range(n_max + 1)), table_columns)
+        columns["bound"] = list(_kernel_bounds(points, kernel_alpha))
+    return ConvergenceTable(list(range(n_max + 1)), columns)
+
+
+def _kernel_bounds(points: np.ndarray, alpha):
+    """Yield (|B_{n-1}(alpha)| + |B_n(alpha)|) / (1 - |alpha|) for
+    n = 0..len(points), the index -1 product counting as 0."""
+    alpha = complex(alpha)
+    previous = 0.0
+    for product in running_products(points, alpha):
+        yield (previous + abs(product)) / (1.0 - abs(alpha))
+        previous = abs(product)
 
 
 def kernel_remainder_bound(seq: PointSequence, alpha, n: int) -> float:
     """(|B_{n-1}(alpha)| + |B_n(alpha)|) / (1 - |alpha|): the closed bound on
     the remainder sup norm when expanding the kernel at alpha (index -1
     products count as 0)."""
-    alpha = complex(alpha)
     if not 0 <= n <= len(seq):
         raise PreconditionError(f"index {n} outside 0..{len(seq)}")
-    b_curr = complex(product_eval(FiniteBlaschkeProduct(seq.points[:n]), alpha))
-    b_prev = (
-        complex(product_eval(FiniteBlaschkeProduct(seq.points[: n - 1]), alpha))
-        if n >= 1
-        else 0.0 + 0.0j
-    )
-    return (abs(b_prev) + abs(b_curr)) / (1.0 - abs(alpha))
+    for bound in _kernel_bounds(seq.points[:n], alpha):
+        pass
+    return float(bound)

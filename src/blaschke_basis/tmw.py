@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import PointSequence, SequenceKind, blaschke_factor, cauchy_kernel, pole_radius
+from .blaschke import PointSequence, SequenceKind, cauchy_kernel, pole_radius, running_products
 from .errors import PreconditionError
 from .fnspace import BoundaryFunction, eval_inside, from_samples, unit_circle_grid
 from .toeplitz import toeplitz_factor_apply
@@ -39,12 +39,12 @@ class TMWElement:
 
 
 def _element_samples(seq: PointSequence, n: int, sample_count: int) -> np.ndarray:
-    grid = unit_circle_grid(sample_count)
     lam = seq.points[n - 1]
     factor = math.sqrt(1.0 - abs(lam) ** 2)
-    samples = factor * cauchy_kernel(lam, sample_count).samples
-    for zero in seq.points[: n - 1]:
-        samples = samples * blaschke_factor(zero, grid)
+    products = running_products(seq.points[: n - 1], unit_circle_grid(sample_count),
+                                factor * cauchy_kernel(lam, sample_count).samples)
+    for samples in products:
+        pass
     return samples
 
 
@@ -87,10 +87,10 @@ def functional_norm(seq: PointSequence, n: int, sample_count: int) -> Functional
     if not 1 <= n <= len(seq):
         raise PreconditionError(f"functional index {n} outside 1..{len(seq)}")
     lam = seq.points[n - 1]
-    grid = unit_circle_grid(sample_count)
-    samples = cauchy_kernel(lam, sample_count).samples.copy()
-    for zero in seq.points[: n - 1]:
-        samples = samples * blaschke_factor(zero, grid)
+    products = running_products(seq.points[: n - 1], unit_circle_grid(sample_count),
+                                cauchy_kernel(lam, sample_count).samples)
+    for samples in products:
+        pass
     quadrature = float(np.sqrt(np.mean(np.abs(samples) ** 2)))
     closed = 1.0 / math.sqrt(1.0 - abs(lam) ** 2)
     return FunctionalNormComparison(quadrature, closed)

@@ -34,24 +34,27 @@ from .fnspace import (
 from .norms import hardy_norm, sup_norm
 
 
-def toeplitz_factor_apply(f: BoundaryFunction, lam) -> BoundaryFunction:
-    """Apply the operator with symbol conj(b_lambda) by the zero-extraction
-    recurrence.
+def zero_extraction_step(f: BoundaryFunction, lam, scale_floor: float) -> tuple[complex, BoundaryFunction]:
+    """One step of the recurrence: (f(lambda), T f) for the symbol conj(b_lambda).
 
-    f(lambda) is taken from the current iterate's Taylor coefficients so
-    each composition step is self-contained. The result extends analytically
-    past the circle; the radius is propagated conservatively as
-    min(f.analytic_radius, 1/|lambda|).
+    f(lambda) is taken from f's Taylor coefficients so each composition step
+    is self-contained. The result extends analytically past the circle; the
+    radius is propagated conservatively as min(f.analytic_radius, 1/|lambda|).
+    Its analyticity is judged against scale_floor (see `from_samples`), which
+    a chain holds at the scale of its first input.
     """
     lam = point_value(lam)
-    grid = unit_circle_grid(f.sample_count)
-    b = blaschke_factor(lam, grid)
+    b = blaschke_factor(lam, unit_circle_grid(f.sample_count))
     value = eval_inside(f, lam)
-    numerator = f.samples - value * (1.0 - np.conj(lam) * b)
-    quotient = numerator / b
+    quotient = (f.samples - value * (1.0 - np.conj(lam) * b)) / b
     radius = min(f.analytic_radius, pole_radius(lam))
-    scale = float(np.max(np.abs(f.samples)))
-    return from_samples(quotient, radius, scale_floor=scale)
+    return value, from_samples(quotient, radius, scale_floor=scale_floor)
+
+
+def toeplitz_factor_apply(f: BoundaryFunction, lam) -> BoundaryFunction:
+    """Apply the operator with symbol conj(b_lambda) by the zero-extraction
+    recurrence, judging analyticity against sup|f|."""
+    return zero_extraction_step(f, lam, sup_norm(f))[1]
 
 
 def toeplitz_product_apply(f: BoundaryFunction, product: FiniteBlaschkeProduct) -> BoundaryFunction:

@@ -5,6 +5,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from blaschke_basis.cli import main
 
@@ -149,6 +150,21 @@ class TestTmwCommands:
         code = run_cli("tmw", "witness", "--support", "pow2", "--kmax", "2",
                        "--seq", "explicit:[0.5,0.7]", "--out", str(tmp_path / "w.json"))
         assert code == 2
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("argv", [
+        ["expand", "--func", "kernel:0.3", "--seq", "harmonic-shifted", "--nterms", "5",
+         "--samples", "0"],
+        ["tmw", "witness", "--kmax", "8", "--support", "2,x", "--seq", "harmonic-shifted"],
+        ["convergence", "--func", "kernel:0.3", "--seq", "harmonic-shifted", "--nterms", "4",
+         "--norms", "bergman:2:0:0"],
+        ["convergence", "--func", "kernel:0.3", "--seq", "harmonic-shifted", "--nterms", "4",
+         "--norms", "bergman:2:0:-3"],
+    ], ids=["samples-zero", "support-not-integer", "bergman-zero-nodes",
+            "bergman-negative-nodes"])
+    def test_rejected_as_usage_error(self, tmp_path, argv):
+        assert run_cli(*argv, "--out", str(tmp_path / "no.out")) == 2
 
 
 class TestSelftest:

@@ -121,7 +121,8 @@ class TestNormSpec:
         assert spec.evaluate(f) == pytest.approx(sup_norm(f))
 
     def test_bad_specs_rejected(self):
-        for text in ("hardy", "bergman:2", "chebyshev:1", "hardy:zero", "sup:2"):
+        for text in ("hardy", "bergman:2", "chebyshev:1", "hardy:zero", "sup:2",
+                     "bergman:2:0:0"):
             with pytest.raises(PreconditionError):
                 NormSpec.parse(text)
 

@@ -7,6 +7,7 @@ from blaschke_basis import (
     AnalyticityError,
     FiniteBlaschkeProduct,
     PreconditionError,
+    bergman_norm,
     cauchy_kernel,
     convergence_study,
     expansion_coefficients,
@@ -239,6 +240,20 @@ class TestConvergenceStudy:
         table = convergence_study(f, seq, 30, ["sup"], kernel_alpha=0.3)
         for bound, s in zip(table.columns["bound"], table.columns["sup"]):
             assert bound >= s - 1e-9
+
+    @pytest.mark.parametrize("spec", ["harmonic-shifted", "harmonic"])
+    def test_bergman_columns_match_standalone_norm(self, spec):
+        # the table's ring synthesis against bergman_norm of the remainder
+        # built as a function
+        seq = make_sequence(spec, 12)
+        f = cauchy_kernel(0.3 + 0.2j, M)
+        table = convergence_study(f, seq, 12, ["bergman:2:0", "bergman:1:0.5"])
+        for n in range(1, 13):
+            remainder = remainder_closed_form(f, seq, n)
+            for label, p, alpha in (("bergman:2:0", 2, 0.0), ("bergman:1:0.5", 1, 0.5)):
+                assert table.columns[label][n] == pytest.approx(
+                    bergman_norm(remainder, p, alpha), rel=1e-12
+                )
 
     def test_csv_shape(self):
         seq = make_sequence("harmonic-shifted", 4)
