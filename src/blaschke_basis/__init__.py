@@ -23,7 +23,6 @@ from .fnspace import (
     from_samples,
     from_taylor,
     pairing,
-    pointwise_combine,
     riesz_project,
 )
 from .norms import NormSpec, bergman_norm, embedding_check, hardy_norm, sup_norm
@@ -40,6 +39,7 @@ from .tmw import functional_norm, gram_matrix, lacunary_witness, tmw_element
 from .toeplitz import (
     factor_sup_bound_check,
     dilation_sup_bound_check,
+    iterates,
     toeplitz_factor_apply,
     toeplitz_general_apply,
     toeplitz_product_apply,
@@ -70,6 +70,7 @@ __all__ = [
     "functional_norm",
     "gram_matrix",
     "hardy_norm",
+    "iterates",
     "factor_sup_bound_check",
     "kernel_remainder_bound",
     "lacunary_witness",
@@ -77,7 +78,6 @@ __all__ = [
     "make_sequence",
     "pairing",
     "partial_sum",
-    "pointwise_combine",
     "pointwise_decay_check",
     "product_as_function",
     "product_eval",

@@ -48,6 +48,36 @@ def pole_radius(lam) -> float:
     return 1.0 / modulus if modulus > 0.0 else UNBOUNDED_RADIUS
 
 
+def _closest_duplicate(points: np.ndarray) -> tuple[float, int, int] | None:
+    """(distance, i, j), i < j, for the closest pair of points nearer than
+    DISTINCTNESS_TOL (ties to the lowest (i, j)); None when all are distinct.
+
+    Sweeps the points sorted along the coordinate with the larger spread,
+    comparing neighbours at offsets 1, 2, ... until no coordinate gap at
+    that offset is below the tolerance, so spread-out points cost
+    O(N log N) time and O(N) memory.
+    """
+    coords = points.real if np.ptp(points.real) >= np.ptp(points.imag) else points.imag
+    order = np.argsort(coords, kind="stable")
+    xs = coords[order]
+    best = None
+    for offset in range(1, points.size):
+        near = np.nonzero(xs[offset:] - xs[:-offset] < DISTINCTNESS_TOL)[0]
+        if near.size == 0:
+            break
+        a, b = order[near], order[near + offset]
+        dist = np.abs(points[a] - points[b])
+        hit = dist < DISTINCTNESS_TOL
+        if not np.any(hit):
+            continue
+        dist, i, j = dist[hit], np.minimum(a, b)[hit], np.maximum(a, b)[hit]
+        k = np.lexsort((j, i, dist))[0]
+        candidate = (float(dist[k]), int(i[k]), int(j[k]))
+        if best is None or candidate < best:
+            best = candidate
+    return best
+
+
 @dataclass(frozen=True, eq=False)
 class PointSequence:
     """A finite prefix of a disk-point sequence with its declared class.
@@ -67,11 +97,9 @@ class PointSequence:
         points = np.array([point_value(p) for p in np.atleast_1d(self.points)], dtype=complex)
         if points.size == 0:
             raise PreconditionError("a point sequence needs at least one point")
-        diffs = np.abs(points[:, None] - points[None, :])
-        np.fill_diagonal(diffs, np.inf)
-        closest = float(np.min(diffs)) if points.size > 1 else np.inf
-        if closest < DISTINCTNESS_TOL:
-            i, j = np.unravel_index(np.argmin(diffs), diffs.shape)
+        duplicate = _closest_duplicate(points)
+        if duplicate is not None:
+            closest, i, j = duplicate
             raise PreconditionError(
                 f"duplicate points: |lambda_{i + 1} - lambda_{j + 1}| = {closest:.3e} "
                 f"< {DISTINCTNESS_TOL:g}"
@@ -108,12 +136,6 @@ class FiniteBlaschkeProduct:
     def degree(self) -> int:
         return int(self.zeros.size)
 
-    @classmethod
-    def from_prefix(cls, seq: PointSequence, n: int) -> "FiniteBlaschkeProduct":
-        if not 0 <= n <= len(seq):
-            raise PreconditionError(f"prefix length {n} outside 0..{len(seq)}")
-        return cls(seq.points[:n])
-
 
 def blaschke_factor(lam, z) -> complex | np.ndarray:
     """b_lambda(z) = (lambda - z)/(1 - conj(lambda) z) for |z| <= 1.
@@ -139,7 +161,11 @@ def running_products(zeros, z, start=None):
 
     Every product the library evaluates is formed here, one multiplication
     per factor in sequence order; only the independent oracles (triangular
-    reconstruction, the selftest span builder) multiply their own.
+    reconstruction, the selftest span builder) multiply their own, and so do
+    the TMW elements. Those are products of different lengths over one
+    sequence, each factor multiplied into the rows that still need it; a
+    generator that stopped rows at different prefixes would have to branch
+    on which caller it serves, so that batched triangle lives in `tmw`.
     """
     z = np.asarray(z, dtype=complex)
     # the running product replaces `start`, so no earlier product stays alive

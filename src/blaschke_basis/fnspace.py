@@ -292,46 +292,6 @@ def dilate(f: BoundaryFunction, r: float) -> BoundaryFunction:
     return _build(_synthesize(scaled), scaled, f.analytic_radius / r)
 
 
-_DIVISOR_FLOOR = 1e-12
-
-
-def pointwise_combine(
-    f: BoundaryFunction,
-    g: BoundaryFunction,
-    op: str,
-    analytic_radius: float | None = None,
-) -> BoundaryFunction:
-    """Sample-wise add/sub/mul/div of two functions on the same grid.
-
-    The result must itself be analytic (checked); for div the caller asserts
-    analyticity of the quotient, e.g. after exact zero removal, and may
-    override the default radius of 1.
-    """
-    if f.sample_count != g.sample_count:
-        raise PreconditionError(
-            f"sample counts differ: {f.sample_count} vs {g.sample_count}"
-        )
-    if op == "add":
-        combined = f.samples + g.samples
-    elif op == "sub":
-        combined = f.samples - g.samples
-    elif op == "mul":
-        combined = f.samples * g.samples
-    elif op == "div":
-        smallest = float(np.min(np.abs(g.samples)))
-        if smallest < _DIVISOR_FLOOR:
-            raise PreconditionError(
-                f"division by a near-zero sample (min modulus {smallest:.3e} < {_DIVISOR_FLOOR:g})"
-            )
-        combined = f.samples / g.samples
-    else:
-        raise PreconditionError(f"op must be one of add/sub/mul/div, got {op!r}")
-    if analytic_radius is None:
-        analytic_radius = 1.0 if op == "div" else min(f.analytic_radius, g.analytic_radius)
-    scale = max(float(np.max(np.abs(f.samples))), float(np.max(np.abs(g.samples))))
-    return from_samples(combined, analytic_radius, scale_floor=scale)
-
-
 def pairing(f, g) -> complex:
     """The discrete duality pairing <f, g> = mean of f * conj(g) on the grid.
 

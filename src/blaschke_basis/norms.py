@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -29,7 +30,7 @@ DEFAULT_RADIAL_NODES = 64
 def sup_norm(f: BoundaryFunction) -> float:
     """Maximum modulus over the boundary samples (the H^infinity norm for
     the analytic functions represented here, by the maximum principle)."""
-    return float(np.max(np.abs(f.samples)))
+    return SUP.from_values(f.samples)
 
 
 def hardy_norm(f: BoundaryFunction, p: float) -> float:
@@ -40,28 +41,24 @@ def hardy_norm(f: BoundaryFunction, p: float) -> float:
     p = float(p)
     if not (1.0 <= p < math.inf):
         raise PreconditionError(f"hardy_norm requires 1 <= p < inf, got {p!r}")
-    return float(np.mean(np.abs(f.samples) ** p) ** (1.0 / p))
+    return NormSpec("hardy", p).evaluate(f)
 
 
+@lru_cache(maxsize=32)
 def bergman_radial_rule(alpha: float, radial_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Radii and weights integrating g -> int_0^1 g(r) (1+a)(1-r^2)^a 2r dr.
 
     Gauss nodes in the variable u = 1 - r^2 with the weight u^alpha absorbed
     into the rule (plain Gauss-Legendre for alpha = 0), so non-integer alpha
-    costs no accuracy.
+    costs no accuracy. The arrays are cached and read-only.
     """
     x, w = roots_jacobi(radial_nodes, 0.0, alpha)
     u = (1.0 + x) / 2.0
+    radii = np.sqrt(1.0 - u)
     weights = (1.0 + alpha) * 2.0 ** (-(alpha + 1.0)) * w
-    return np.sqrt(1.0 - u), weights
-
-
-def bergman_quadrature(rings: np.ndarray, weights: np.ndarray, p: float) -> float:
-    """Weighted Bergman norm from a function's values on the circles of a
-    `bergman_radial_rule` (one row per radius): trapezoid in angle, Gauss
-    radially."""
-    angular_means = np.mean(np.abs(rings) ** p, axis=1)
-    return float(np.dot(weights, angular_means) ** (1.0 / p))
+    radii.setflags(write=False)
+    weights.setflags(write=False)
+    return radii, weights
 
 
 def bergman_norm(
@@ -71,11 +68,7 @@ def bergman_norm(
     radial_nodes: int = DEFAULT_RADIAL_NODES,
 ) -> float:
     """Weighted Bergman norm (integral of |f|^p (1+a)(1-|z|^2)^a dA/pi)^(1/p)."""
-    if f.analytic_radius < 1.0:
-        raise PreconditionError("bergman_norm needs a function analytic up to the boundary")
-    spec = NormSpec("bergman", float(p), float(alpha), radial_nodes)
-    radii, weights = bergman_radial_rule(spec.alpha, spec.radial_nodes)
-    return bergman_quadrature(samples_at_radius(f, radii), weights, spec.p)
+    return NormSpec("bergman", float(p), float(alpha), radial_nodes).evaluate(f)
 
 
 @dataclass(frozen=True)
@@ -125,23 +118,46 @@ class NormSpec:
             return f"hardy:{self.p:g}"
         return f"bergman:{self.p:g}:{self.alpha:g}"
 
+    @property
+    def ring_radii(self) -> np.ndarray | None:
+        """The circles a Bergman norm integrates over (its radial rule's
+        radii); None for the norms that need only boundary values."""
+        if self.kind != "bergman":
+            return None
+        return bergman_radial_rule(self.alpha, self.radial_nodes)[0]
+
+    def from_values(self, boundary: np.ndarray, rings: np.ndarray | None = None) -> float:
+        """The norm from a function's boundary samples, and for Bergman from
+        its values on the `ring_radii` circles (one row per radius):
+        trapezoid in angle, Gauss radially."""
+        if self.kind == "bergman":
+            weights = bergman_radial_rule(self.alpha, self.radial_nodes)[1]
+            angular_means = np.mean(np.abs(rings) ** self.p, axis=1)
+            return float(np.dot(weights, angular_means) ** (1.0 / self.p))
+        if self.kind == "sup" or self.p == math.inf:
+            return float(np.max(np.abs(boundary)))
+        return float(np.mean(np.abs(boundary) ** self.p) ** (1.0 / self.p))
+
     def evaluate(self, f: BoundaryFunction) -> float:
-        if self.kind == "sup" or (self.kind == "hardy" and self.p == math.inf):
-            return sup_norm(f)
-        if self.kind == "hardy":
-            return hardy_norm(f, self.p)
-        return bergman_norm(f, self.p, self.alpha, self.radial_nodes)
+        radii = self.ring_radii
+        rings = None if radii is None else samples_at_radius(f, radii)
+        return self.from_values(f.samples, rings)
+
+
+SUP = NormSpec("sup")
 
 
 @dataclass(frozen=True)
-class EmbeddingCheck:
-    norm_x: float
-    c0_times_sup: float
+class BoundCheck:
+    """An inequality lhs <= rhs between two independently computed sides."""
+
+    lhs: float
+    rhs: float
     holds: bool
 
 
-def embedding_check(f: BoundaryFunction, spec: NormSpec) -> EmbeddingCheck:
+def embedding_check(f: BoundaryFunction, spec: NormSpec) -> BoundCheck:
     """Verify ||f||_X <= C_0 ||f||_sup for the requested norm (C_0 = 1 here)."""
     norm_x = spec.evaluate(f)
     bound = EMBEDDING_CONSTANT * sup_norm(f)
-    return EmbeddingCheck(norm_x, bound, norm_x <= bound + DOMINATION_SLACK)
+    return BoundCheck(norm_x, bound, norm_x <= bound + DOMINATION_SLACK)

@@ -47,15 +47,8 @@ from .fnspace import (
     samples_at_radius,
     unit_circle_grid,
 )
-from .norms import (
-    DOMINATION_SLACK,
-    EMBEDDING_CONSTANT,
-    NormSpec,
-    bergman_quadrature,
-    bergman_radial_rule,
-    sup_norm,
-)
-from .toeplitz import zero_extraction_step
+from .norms import DOMINATION_SLACK, EMBEDDING_CONSTANT, SUP, NormSpec, sup_norm
+from .toeplitz import iterates
 
 #: Accumulated floating-point drift between f - S_N f and the closed-form
 #: remainder beyond this fraction of sup|f| invalidates an expansion.
@@ -114,23 +107,6 @@ def _require_expandable(seq: PointSequence, n_terms: int) -> None:
         )
 
 
-def _iterates(f: BoundaryFunction, points: np.ndarray):
-    """Walk the Toeplitz chain along the points, holding one iterate at a time.
-
-    Yields, for n = 1..len(points), the evaluation h_{n-1}(lambda_n), the
-    shift -conj(lambda_n) h_{n-1}(lambda_n) and the iterate h_n; R_n f is
-    (shift + h_n) * B_n, so shift + h_n has the moduli of R_n f on the circle.
-    """
-    scale = sup_norm(f)
-    h = f
-    for step, lam in enumerate(points, start=1):
-        try:
-            value, h = zero_extraction_step(h, lam, scale)
-        except AnalyticityError as exc:
-            raise AnalyticityError(f"analyticity degraded at step {step}: {exc}") from exc
-        yield value, -np.conj(lam) * value, h
-
-
 def expansion_coefficients(
     f: BoundaryFunction, seq: PointSequence, n_terms: int, function_label: str = ""
 ) -> ExpansionResult:
@@ -146,10 +122,10 @@ def expansion_coefficients(
     points = seq.points[:n_terms]
     evals = np.empty(n_terms, dtype=complex)
     residuals = np.empty(n_terms)
-    for n, (value, shift, h) in enumerate(_iterates(f, points)):
+    for n, (value, shift, h) in enumerate(iterates(f, points)):
         tail = shift + h.samples
         evals[n] = value
-        residuals[n] = np.max(np.abs(tail))
+        residuals[n] = SUP.from_values(tail)
 
     coefficients = np.empty(n_terms, dtype=complex)
     coefficients[0] = evals[0]
@@ -195,7 +171,7 @@ def remainder_closed_form(f: BoundaryFunction, seq: PointSequence, n: int) -> Bo
     if n < 1:
         raise PreconditionError(f"remainder index must be >= 1, got {n}")
     _require_expandable(seq, n)
-    for _, shift, h in _iterates(f, seq.points[:n]):
+    for _, shift, h in iterates(f, seq.points[:n]):
         pass
     product = product_eval(FiniteBlaschkeProduct(seq.points[:n]), unit_circle_grid(f.sample_count))
     return from_samples((shift + h.samples) * product, h.analytic_radius, scale_floor=sup_norm(f))
@@ -274,35 +250,28 @@ def convergence_study(
     # Bergman columns evaluate R_n = (shift + h_n) * B_n on interior circles
     # from its exact factors: the iterate's coefficients give the first part,
     # the rational formula gives the product. No spectral representation of
-    # the (possibly heavily-tailed) product is ever formed.
-    ring_rules = {
-        (s.alpha, s.radial_nodes): bergman_radial_rule(s.alpha, s.radial_nodes)
-        for s in extra_specs if s.kind == "bergman"
+    # the (possibly heavily-tailed) product is ever formed. Specs on the same
+    # circles share their ring values.
+    ring_radii = {
+        (s.alpha, s.radial_nodes): s.ring_radii for s in extra_specs if s.ring_radii is not None
     }
     ring_products = {
-        key: running_products(points, radii[:, None] * grid)
-        for key, (radii, _) in ring_rules.items()
+        key: running_products(points, radii[:, None] * grid) for key, radii in ring_radii.items()
     }
 
     # row 0 is R_0 f = f: no shift, and B_0 = 1
-    steps = itertools.chain([(0.0, f)], ((shift, h) for _, shift, h in _iterates(f, points)))
+    steps = itertools.chain([(0.0, f)], ((shift, h) for _, shift, h in iterates(f, points)))
     for n, (shift, h) in enumerate(steps):
+        # |R_n| = |modulated| on the grid since |B_n| = 1 there
         modulated = shift + h.samples
         rings = {
             key: (shift + samples_at_radius(h, radii)) * next(ring_products[key])
-            for key, (radii, _) in ring_rules.items()
+            for key, radii in ring_radii.items()
         }
-        sup_val = float(np.max(np.abs(modulated)))
+        sup_val = SUP.from_values(modulated)
         columns["sup"].append(sup_val)
         for spec in extra_specs:
-            if spec.kind == "sup" or (spec.kind == "hardy" and np.isinf(spec.p)):
-                val = sup_val
-            elif spec.kind == "hardy":
-                # |R_n| = |modulated| on the grid since |B_n| = 1 there
-                val = float(np.mean(np.abs(modulated) ** spec.p) ** (1.0 / spec.p))
-            else:
-                key = (spec.alpha, spec.radial_nodes)
-                val = bergman_quadrature(rings[key], ring_rules[key][1], spec.p)
+            val = spec.from_values(modulated, rings.get((spec.alpha, spec.radial_nodes)))
             if val > EMBEDDING_CONSTANT * sup_val + DOMINATION_SLACK:
                 raise AnalyticityError(
                     f"norm {spec.label} = {val:.12g} exceeds C0 * sup = {sup_val:.12g} "

@@ -467,8 +467,11 @@ def run_selftest(
     stream=None,
 ) -> int:
     """Run the invariant suite, print one line per check, return an exit code
-    (0 iff everything passed)."""
+    (0 iff everything passed). A sample count that is not a power of two
+    >= 16 raises PreconditionError before any check runs."""
     stream = stream or sys.stdout
+    if sample_count is not None:
+        fnspace._validate_sample_count(sample_count)
     if module_filter is not None and module_filter not in MODULE_NAMES:
         print(f"unknown module {module_filter!r}; choose from {', '.join(MODULE_NAMES)}",
               file=stream)

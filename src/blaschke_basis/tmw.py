@@ -21,10 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import PointSequence, SequenceKind, cauchy_kernel, pole_radius, running_products
+from .blaschke import (
+    PointSequence,
+    SequenceKind,
+    blaschke_factor,
+    cauchy_kernel,
+    pole_radius,
+    running_products,
+)
 from .errors import PreconditionError
-from .fnspace import BoundaryFunction, eval_inside, from_samples, unit_circle_grid
-from .toeplitz import toeplitz_factor_apply
+from .fnspace import BoundaryFunction, from_samples, unit_circle_grid
+from .toeplitz import iterates
 
 DEFAULT_TMW_SAMPLE_COUNT = 8192
 
@@ -38,21 +45,30 @@ class TMWElement:
     sequence: PointSequence
 
 
-def _element_samples(seq: PointSequence, n: int, sample_count: int) -> np.ndarray:
-    lam = seq.points[n - 1]
-    factor = math.sqrt(1.0 - abs(lam) ** 2)
-    products = running_products(seq.points[: n - 1], unit_circle_grid(sample_count),
-                                factor * cauchy_kernel(lam, sample_count).samples)
-    for samples in products:
-        pass
-    return samples
+def _element_rows(seq: PointSequence, indices, sample_count: int) -> np.ndarray:
+    """Samples of the TMW elements n in `indices` (ascending), one row each.
+
+    Row n starts as sqrt(1 - |lambda_n|^2) k_{lambda_n}; then each factor
+    b_{lambda_j} is evaluated once and multiplied into every row with n > j,
+    in sequence order, so every row is the running product that
+    `running_products` would form for it alone.
+    """
+    grid = unit_circle_grid(sample_count)
+    rows = np.empty((len(indices), sample_count), dtype=complex)
+    for row, n in zip(rows, indices):
+        lam = seq.points[n - 1]
+        row[:] = math.sqrt(1.0 - abs(lam) ** 2) * cauchy_kernel(lam, sample_count).samples
+    for j in range(1, indices[-1]):
+        first = int(np.searchsorted(indices, j, side="right"))
+        rows[first:] *= blaschke_factor(seq.points[j - 1], grid)
+    return rows
 
 
 def tmw_element(seq: PointSequence, n: int, sample_count: int) -> TMWElement:
     """Build sqrt(1 - |lambda_n|^2) B_{n-1} k_{lambda_n} as a function."""
     if not 1 <= n <= len(seq):
         raise PreconditionError(f"element index {n} outside 1..{len(seq)}")
-    samples = _element_samples(seq, n, sample_count)
+    samples = _element_rows(seq, [n], sample_count)[0]
     radius = min(pole_radius(p) for p in seq.points[:n])
     scale = float(np.max(np.abs(samples)))
     return TMWElement(n, from_samples(samples, radius, scale_floor=scale), seq)
@@ -62,7 +78,7 @@ def gram_matrix(seq: PointSequence, k: int, sample_count: int) -> np.ndarray:
     """Pairwise discrete H^2 inner products of the first k TMW elements."""
     if not 1 <= k <= len(seq):
         raise PreconditionError(f"Gram size {k} outside 1..{len(seq)}")
-    samples = [_element_samples(seq, n, sample_count) for n in range(1, k + 1)]
+    samples = _element_rows(seq, range(1, k + 1), sample_count)
     gram = np.empty((k, k), dtype=complex)
     for i in range(k):
         for j in range(i, k):
@@ -173,20 +189,15 @@ def lacunary_witness(
     coefficients = [float(n) ** (-float(exponent)) for n in indices]
 
     total = np.zeros(sample_count, dtype=complex)
-    for n, c in zip(indices, coefficients):
-        total = total + c * _element_samples(seq, n, sample_count)
+    for c, row in zip(coefficients, _element_rows(seq, indices, sample_count)):
+        total = total + c * row
     scale = float(np.max(np.abs(total)))
     radius = min(pole_radius(p) for p in seq.points[: indices[-1]])
     witness_fn = from_samples(total, radius, scale_floor=scale)
 
-    values = []
-    iterate = witness_fn
-    applied = 0
-    for n in indices:
-        while applied < n - 1:
-            iterate = toeplitz_factor_apply(iterate, seq.points[applied])
-            applied += 1
-        values.append(abs(eval_inside(iterate, seq.points[n - 1])))
+    # the chain's own evaluations: step n yields iterate_{n-1} f (lambda_n)
+    evaluations = [abs(value) for value, _, _ in iterates(witness_fn, seq.points[: indices[-1]])]
+    values = [evaluations[n - 1] for n in indices]
 
     moduli = [abs(seq.points[n - 1]) for n in indices]
     l2_sum = float(sum(c * c for c in coefficients))

@@ -7,9 +7,10 @@ zero extraction:
 
 evaluated sample-wise on the circle, where |b_lambda| = 1 makes the division
 stable; the numerator vanishes at lambda, so the quotient is analytic. This
-route is alias-free and exact on polynomials. The projection route
-P(conj(symbol) * f) is kept as an independent cross-check, and products of
-factors act by composing the single-factor operators.
+route is alias-free and exact on polynomials. Products of factors act by
+walking the chain of single-factor steps in `iterates`, the one loop over the
+recurrence. The projection route P(conj(symbol) * f) is kept as an
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .fnspace import (
     riesz_project,
     unit_circle_grid,
 )
-from .norms import hardy_norm, sup_norm
+from .norms import BoundCheck, hardy_norm, sup_norm
 
 
 def zero_extraction_step(f: BoundaryFunction, lam, scale_floor: float) -> tuple[complex, BoundaryFunction]:
@@ -51,6 +52,25 @@ def zero_extraction_step(f: BoundaryFunction, lam, scale_floor: float) -> tuple[
     return value, from_samples(quotient, radius, scale_floor=scale_floor)
 
 
+def iterates(f: BoundaryFunction, points):
+    """Walk the Toeplitz chain h_n = T_{conj(B_n)} f along the points, holding
+    one iterate at a time.
+
+    Yields, for n = 1..len(points), the evaluation h_{n-1}(lambda_n), the
+    shift -conj(lambda_n) h_{n-1}(lambda_n) and the iterate h_n; R_n f is
+    (shift + h_n) * B_n, so shift + h_n has the moduli of R_n f on the circle.
+    Every step judges analyticity against sup|f|, and a failure names its step.
+    """
+    scale = sup_norm(f)
+    h = f
+    for step, lam in enumerate(points, start=1):
+        try:
+            value, h = zero_extraction_step(h, lam, scale)
+        except AnalyticityError as exc:
+            raise AnalyticityError(f"analyticity degraded at step {step}: {exc}") from exc
+        yield value, -np.conj(lam) * value, h
+
+
 def toeplitz_factor_apply(f: BoundaryFunction, lam) -> BoundaryFunction:
     """Apply the operator with symbol conj(b_lambda) by the zero-extraction
     recurrence, judging analyticity against sup|f|."""
@@ -58,11 +78,11 @@ def toeplitz_factor_apply(f: BoundaryFunction, lam) -> BoundaryFunction:
 
 
 def toeplitz_product_apply(f: BoundaryFunction, product: FiniteBlaschkeProduct) -> BoundaryFunction:
-    """Apply the operator with symbol conj(B) by composing the factor
-    operators over the zeros in order; the empty product is the identity."""
+    """Apply the operator with symbol conj(B): the last iterate of the chain
+    over the zeros in order; the empty product returns f itself."""
     result = f
-    for zero in product.zeros:
-        result = toeplitz_factor_apply(result, zero)
+    for _, _, result in iterates(f, product.zeros):
+        pass
     return result
 
 
@@ -95,17 +115,7 @@ def toeplitz_general_apply(f: BoundaryFunction, symbol_samples) -> BoundaryFunct
 
 
 @dataclass(frozen=True)
-class BoundCheck:
-    lhs: float
-    rhs: float
-    holds: bool
-
-
-@dataclass(frozen=True)
-class FactorBoundCheck:
-    lhs: float
-    rhs: float
-    holds: bool
+class FactorBoundCheck(BoundCheck):
     #: | sup|T f| - sup|f - f(lambda)(1 - conj(lambda) b)| | on the grid; the
     #: two sample vectors differ by a unimodular factor, so this is roundoff.
     grid_equality_gap: float
@@ -134,11 +144,9 @@ def factor_sup_bound_check(f: BoundaryFunction, lam) -> FactorBoundCheck:
     """Check sup|T_{conj(b_lambda)} f| <= 3 sup|f|, and that the operator
     norm equals the numerator norm sample-for-sample on the grid."""
     lam = point_value(lam)
-    grid = unit_circle_grid(f.sample_count)
-    b = blaschke_factor(lam, grid)
-    value = eval_inside(f, lam)
+    value, applied = zero_extraction_step(f, lam, sup_norm(f))
+    b = blaschke_factor(lam, unit_circle_grid(f.sample_count))
     numerator = f.samples - value * (1.0 - np.conj(lam) * b)
-    applied = toeplitz_factor_apply(f, lam)
     lhs = sup_norm(applied)
     numerator_sup = float(np.max(np.abs(numerator)))
     rhs = 3.0 * sup_norm(f)

@@ -172,6 +172,25 @@ class TestMakeSequence:
     def test_explicit_duplicates_rejected(self):
         with pytest.raises(PreconditionError):
             make_sequence("explicit:[0.5, 0.5]", 2)
+        # the closest pair is reported, ties going to the lowest indices
+        with pytest.raises(PreconditionError, match=r"lambda_2 - lambda_4\| = 3\.000e-11"):
+            make_sequence("explicit:[0.1, 0.5, 0.3i, 0.5+3e-11i, 0.5-3e-11i]", 0)
+        with pytest.raises(PreconditionError, match=r"lambda_1 - lambda_3\|"):
+            make_sequence("explicit:[0.2i, 0.2, 4e-11+0.2i]", 0)
+        # same real part but far apart, and near in real part only: distinct
+        assert len(make_sequence("explicit:[0.1, 0.1+0.5i, 0.1-0.5i, 0.10000000002+0.2i]", 0)) == 4
+
+    def test_distinctness_check_memory_is_linear(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            make_sequence("harmonic", 3000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the pairwise distance matrix alone would take 3000^2 * 8 B = 72 MB
+        assert peak < 2_000_000
 
     def test_unknown_spec_rejected(self):
         with pytest.raises(PreconditionError):

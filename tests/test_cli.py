@@ -175,6 +175,13 @@ class TestSelftest:
         assert out.strip()
         assert all(line.startswith("PASS blaschke/") for line in out.strip().split("\n"))
 
+    def test_invalid_sample_count_is_a_usage_error(self, capsys):
+        code = run_cli("selftest", "--samples", "0", "--filter", "norms")
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "sample_count must be a power of two" in captured.err
+        assert "PASS" not in captured.out
+
     def test_under_resolved_run_fails_with_diagnostic(self, capsys):
         code = run_cli("selftest", "--samples", "16")
         out = capsys.readouterr().out

@@ -13,7 +13,6 @@ from blaschke_basis import (
     from_samples,
     from_taylor,
     pairing,
-    pointwise_combine,
     riesz_project,
 )
 from blaschke_basis.fnspace import project_spectrum, samples_at_radius, unit_circle_grid
@@ -166,59 +165,6 @@ class TestDilate:
         f = from_taylor(taylor[:1024], 2048, analytic_radius=5.0)
         with pytest.raises(AnalyticityError):
             dilate(f, 4.0)
-
-
-class TestPointwiseCombine:
-    def test_add_zero(self):
-        f = from_taylor([1, 2, 3], 64)
-        zero = from_taylor([0], 64)
-        g = pointwise_combine(f, zero, "add")
-        assert np.allclose(g.samples, f.samples)
-
-    def test_mul_rational_oracle(self):
-        # b_lam * k_lam = (lam - z)/(1 - conj(lam) z)^2 checked pointwise
-        lam = 0.3 - 0.45j
-        m = 512
-        grid = unit_circle_grid(m)
-        b = from_samples((lam - grid) / (1 - np.conj(lam) * grid))
-        k = cauchy_kernel(lam, m)
-        product = pointwise_combine(b, k, "mul")
-        closed = (lam - grid) / (1 - np.conj(lam) * grid) ** 2
-        assert np.max(np.abs(product.samples - closed)) <= 1e-10
-
-    def test_div_backward_shift_oracle(self):
-        # (f - f(0) * 1) / b_0 with f(z) = z: the quotient z / (-z) = -1,
-        # matching the coefficient-shift oracle a_k -> -a_{k+1}
-        m = 64
-        f = from_taylor([0, 1], m)
-        b0 = from_samples(-unit_circle_grid(m))
-        quotient = pointwise_combine(f, b0, "div")
-        assert np.allclose(quotient.samples, -1.0, atol=1e-13)
-        shifted = -np.roll(f.taylor, -1)
-        shifted[-1] = 0.0
-        assert np.max(np.abs(quotient.taylor - shifted)) <= 1e-13
-
-    def test_div_rejects_near_zero_divisor(self):
-        f = from_taylor([1], 64)
-        tiny = from_taylor([1e-13], 64)
-        with pytest.raises(PreconditionError):
-            pointwise_combine(f, tiny, "div")
-
-    def test_mismatched_grids_rejected(self):
-        with pytest.raises(PreconditionError):
-            pointwise_combine(from_taylor([1], 64), from_taylor([1], 128), "add")
-
-    def test_unknown_op_rejected(self):
-        with pytest.raises(PreconditionError):
-            pointwise_combine(from_taylor([1], 64), from_taylor([1], 64), "pow")
-
-    def test_reports_nonanalytic_result(self):
-        grid = unit_circle_grid(64)
-        f = from_taylor([0, 1], 64)
-        # dividing z by z^2 leaves conj(z): genuinely non-analytic
-        zsq = from_samples(grid**2)
-        with pytest.raises(AnalyticityError):
-            pointwise_combine(f, zsq, "div")
 
 
 class TestPairingAndGrid:

@@ -133,7 +133,7 @@ class TestEmbedding:
         for text in ("hardy:1", "hardy:2", "bergman:2:0"):
             report = embedding_check(f, NormSpec.parse(text))
             assert report.holds
-            assert report.norm_x <= 1.0 + 1e-10
+            assert report.lhs <= 1.0 + 1e-10
 
     def test_large_kernel_hardy1(self):
         report = embedding_check(cauchy_kernel(0.9, M), NormSpec.parse("hardy:1"))
@@ -141,8 +141,8 @@ class TestEmbedding:
 
     def test_zero_function(self):
         report = embedding_check(from_taylor([0], M), NormSpec.parse("hardy:2"))
-        assert report.norm_x == 0.0
-        assert report.c0_times_sup == 0.0
+        assert report.lhs == 0.0
+        assert report.rhs == 0.0
         assert report.holds
 
     def test_hardy_monotone_in_p(self):

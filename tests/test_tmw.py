@@ -7,6 +7,7 @@ import pytest
 
 from blaschke_basis import (
     PreconditionError,
+    cauchy_kernel,
     eval_inside,
     functional_norm,
     gram_matrix,
@@ -63,6 +64,36 @@ class TestGram:
         seq = make_sequence("harmonic", 12)
         gram = gram_matrix(seq, 12, M)
         assert np.max(np.abs(gram - np.eye(12))) <= 1e-8
+
+    def test_each_factor_evaluated_once(self, monkeypatch):
+        import blaschke_basis.blaschke as blaschke_module
+        import blaschke_basis.tmw as tmw_module
+        from blaschke_basis.blaschke import blaschke_factor, running_products
+        from blaschke_basis.fnspace import unit_circle_grid
+
+        calls = []
+
+        def counting_factor(lam, z):
+            calls.append(lam)
+            return blaschke_factor(lam, z)
+
+        for module in (tmw_module, blaschke_module):
+            monkeypatch.setattr(module, "blaschke_factor", counting_factor, raising=False)
+        seq = make_sequence("harmonic", 16)
+        gram = gram_matrix(seq, 16, 512)
+        assert len(calls) == 15
+        monkeypatch.undo()
+        # the rows are the running products each element would form alone
+        rows = []
+        for n, lam in enumerate(seq.points, start=1):
+            start = math.sqrt(1.0 - abs(lam) ** 2) * cauchy_kernel(lam, 512).samples
+            for row in running_products(seq.points[: n - 1], unit_circle_grid(512), start):
+                pass
+            rows.append(row)
+        for i in range(16):
+            for j in range(i, 16):
+                entry = np.mean(rows[i] * np.conj(rows[j]))
+                assert gram[j, i] == np.conj(entry)
 
     def test_disjoint_zero_sets_orthogonal(self):
         seq = make_sequence("harmonic", 2)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from blaschke_basis import (
+    AnalyticityError,
     FiniteBlaschkeProduct,
     PreconditionError,
     blaschke_factor,
@@ -12,6 +13,7 @@ from blaschke_basis import (
     from_taylor,
     factor_sup_bound_check,
     dilation_sup_bound_check,
+    iterates,
     product_as_function,
     product_eval,
     toeplitz_factor_apply,
@@ -62,6 +64,41 @@ class TestFactorApply:
         f = cauchy_kernel(0.5, M)  # radius 2
         out = toeplitz_factor_apply(f, 0.8)
         assert out.analytic_radius == pytest.approx(1.25)
+
+
+class TestIterates:
+    def test_steps_are_single_factor_applications(self):
+        rng = np.random.default_rng(23)
+        f = from_taylor(rng.standard_normal(12) + 1j * rng.standard_normal(12), M)
+        points = reference_lambdas(6, radius=0.8)
+        previous = f
+        for lam, (value, shift, h) in zip(points, iterates(f, points), strict=True):
+            assert value == eval_inside(previous, lam)
+            assert shift == -np.conj(lam) * value
+            assert np.array_equal(h.samples, toeplitz_factor_apply(previous, lam).samples)
+            previous = h
+        assert np.array_equal(
+            toeplitz_product_apply(f, FiniteBlaschkeProduct(points)).samples, previous.samples
+        )
+
+    def test_degradation_names_its_step(self, monkeypatch):
+        import blaschke_basis.toeplitz as toeplitz_module
+
+        real_step = toeplitz_module.zero_extraction_step
+        calls = []
+
+        def failing_third_step(f, lam, scale_floor):
+            calls.append(scale_floor)
+            if len(calls) == 3:
+                raise AnalyticityError("negative-frequency energy")
+            return real_step(f, lam, scale_floor)
+
+        monkeypatch.setattr(toeplitz_module, "zero_extraction_step", failing_third_step)
+        f = cauchy_kernel(0.5, M)
+        with pytest.raises(AnalyticityError, match="at step 3: negative-frequency"):
+            list(iterates(f, [0.1, 0.2, 0.3, 0.4]))
+        # every step is judged at the scale of the chain's input
+        assert calls == [pytest.approx(2.0, abs=1e-12)] * 3
 
 
 class TestProductApply:
