@@ -1,13 +1,13 @@
 """Boundary-sampled analytic functions on the closed unit disk.
 
 A function is stored by its values at the M-th roots of unity together with
-the Taylor coefficients recovered from those values by the discrete Fourier
-transform. M is a power of two and the usable Taylor bandwidth is M/2:
-spectral bins M/2..M-1 are where negative frequencies alias on the grid, so
-they must be numerically empty for a sample vector to count as analytic, and
-they are kept identically zero in the stored representation. Inputs that
-would genuinely populate those bins are rejected rather than silently
-aliased.
+its Taylor coefficients a_0..a_{M/2-1}, recovered from those values by the
+discrete Fourier transform. M is a power of two and the usable Taylor
+bandwidth is M/2: spectral bins M/2..M-1 are where negative frequencies
+alias on the grid, so they must be numerically empty for a sample vector to
+count as analytic, and only the M/2 analytic coefficients are stored. Inputs
+that would genuinely populate the other bins are rejected rather than
+silently aliased.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs.
@@ -71,7 +71,7 @@ class DiskPoint:
 
     def __post_init__(self) -> None:
         value = complex(self.value)
-        if abs(value) > 1.0 - BOUNDARY_GUARD:
+        if not abs(value) <= 1.0 - BOUNDARY_GUARD:
             raise PreconditionError(
                 f"point {value} has modulus {abs(value):.17g} > 1 - {BOUNDARY_GUARD:g}"
             )
@@ -87,24 +87,15 @@ def point_value(point) -> complex:
 
 def _synthesize(taylor: np.ndarray) -> np.ndarray:
     # samples[k] = sum_n taylor[n] * omega^(n k), omega = exp(2 pi i / M),
-    # row by row along the last axis
-    return np.fft.ifft(taylor) * taylor.shape[-1]
+    # M = 2 * len(taylor), row by row along the last axis. Padded by hand:
+    # ifft's n= costs more peak memory on the batched ring transform.
+    spectrum = np.zeros(taylor.shape[:-1] + (2 * taylor.shape[-1],), dtype=complex)
+    spectrum[..., : taylor.shape[-1]] = taylor
+    return np.fft.ifft(spectrum) * spectrum.shape[-1]
 
 
 def _analyze(samples: np.ndarray) -> np.ndarray:
     return np.fft.fft(samples) / samples.size
-
-
-def project_spectrum(spectrum: np.ndarray) -> np.ndarray:
-    """Zero the negative-frequency half (bins M/2..M-1) of a sample spectrum.
-
-    Bin M/2 (Nyquist) is treated as negative so the analytic bandwidth stays
-    at M/2, matching the degree cap of `from_taylor`. Exactly idempotent.
-    """
-    spectrum = np.asarray(spectrum, dtype=complex)
-    out = spectrum.copy()
-    out[spectrum.size // 2 :] = 0.0
-    return out
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -114,7 +105,7 @@ class BoundaryFunction:
     Fields
     ------
     samples : complex values f(exp(2*pi*i*k/M)), k = 0..M-1
-    taylor : Taylor coefficients a_0..a_{M-1}; bins >= M/2 are identically 0
+    taylor : the M/2 analytic Taylor coefficients a_0..a_{M/2-1}, nothing else
     sample_count : M, a power of two >= 16
     analytic_radius : declared radius of analyticity (>= 1; 1 means
         boundary-only, so no expanding dilation is allowed)
@@ -129,8 +120,9 @@ class BoundaryFunction:
         samples = np.array(self.samples, dtype=complex)
         taylor = np.array(self.taylor, dtype=complex)
         _validate_sample_count(self.sample_count)
-        if samples.shape != (self.sample_count,) or taylor.shape != (self.sample_count,):
-            raise PreconditionError("samples and taylor must both have length sample_count")
+        if samples.shape != (self.sample_count,) or taylor.shape != (self.sample_count // 2,):
+            raise PreconditionError(f"samples must have length sample_count={self.sample_count}"
+                                    f" and taylor length sample_count/2={self.sample_count // 2}")
         if not self.analytic_radius >= 1.0:
             raise PreconditionError(
                 f"analytic_radius must be >= 1, got {self.analytic_radius!r}"
@@ -169,8 +161,8 @@ class BoundaryFunction:
         return from_taylor(coeffs, sample_count, radius)
 
 
-def _build(samples: np.ndarray, taylor: np.ndarray, analytic_radius: float) -> BoundaryFunction:
-    return BoundaryFunction(samples, taylor, len(samples), analytic_radius)
+def _from_coefficients(taylor: np.ndarray, analytic_radius: float) -> BoundaryFunction:
+    return BoundaryFunction(_synthesize(taylor), taylor, 2 * taylor.size, float(analytic_radius))
 
 
 def from_taylor(
@@ -195,9 +187,11 @@ def from_taylor(
         )
     if not analytic_radius >= 1.0:
         raise PreconditionError(f"analytic_radius must be >= 1, got {analytic_radius!r}")
-    taylor = np.zeros(sample_count, dtype=complex)
+    if not np.all(np.isfinite(coeffs)):
+        raise PreconditionError("coeffs must be finite")
+    taylor = np.zeros(sample_count // 2, dtype=complex)
     taylor[: coeffs.size] = coeffs
-    return _build(_synthesize(taylor), taylor, float(analytic_radius))
+    return _from_coefficients(taylor, analytic_radius)
 
 
 def from_samples(samples, analytic_radius: float = 1.0, *, scale_floor: float = 0.0) -> BoundaryFunction:
@@ -207,8 +201,8 @@ def from_samples(samples, analytic_radius: float = 1.0, *, scale_floor: float = 
     ANALYTICITY_RTOL relative to the peak sample modulus (or to
     `scale_floor`, whichever is larger -- callers producing small results
     from large inputs pass the input scale so roundoff junk is judged
-    against it). The certified-analytic part is kept: the stored samples are
-    resynthesized from the projected spectrum.
+    against it; non-finite samples fail). The certified-analytic part is
+    kept: the stored samples are resynthesized from bins 0..M/2-1.
     """
     arr = np.asarray(samples, dtype=complex)
     if arr.ndim != 1:
@@ -218,15 +212,14 @@ def from_samples(samples, analytic_radius: float = 1.0, *, scale_floor: float = 
     scale = max(float(np.max(np.abs(arr))) if arr.size else 0.0, float(scale_floor))
     negative = spectrum[arr.size // 2 :]
     worst = float(np.max(np.abs(negative)))
-    if worst > ANALYTICITY_RTOL * scale:
+    if not worst <= ANALYTICITY_RTOL * scale:
         bin_offset = int(np.argmax(np.abs(negative)))
         raise AnalyticityError(
             f"negative-frequency energy {worst:.3e} at bin {arr.size // 2 + bin_offset} "
             f"exceeds {ANALYTICITY_RTOL:.0e} * scale {scale:.3e}; "
             "increase sample_count or check that the input is analytic"
         )
-    taylor = project_spectrum(spectrum)
-    return _build(_synthesize(taylor), taylor, float(analytic_radius))
+    return _from_coefficients(spectrum[: arr.size // 2], analytic_radius)
 
 
 def riesz_project(samples) -> BoundaryFunction:
@@ -240,8 +233,7 @@ def riesz_project(samples) -> BoundaryFunction:
     if arr.ndim != 1:
         raise PreconditionError("samples must be a 1-d sequence")
     _validate_sample_count(arr.size)
-    taylor = project_spectrum(_analyze(arr))
-    return _build(_synthesize(taylor), taylor, 1.0)
+    return _from_coefficients(_analyze(arr)[: arr.size // 2], 1.0)
 
 
 def eval_inside(f: BoundaryFunction, z) -> complex:
@@ -260,7 +252,7 @@ def samples_at_radius(f: BoundaryFunction, r) -> np.ndarray:
     radii = np.asarray(r, dtype=float)
     if not np.all((0.0 <= radii) & (radii <= 1.0)):
         raise PreconditionError(f"radius must lie in [0, 1], got {r!r}")
-    weights = np.power(radii[..., None], np.arange(f.sample_count, dtype=float))
+    weights = np.power(radii[..., None], np.arange(f.taylor.size, dtype=float))
     return _synthesize(f.taylor * weights)
 
 
@@ -279,17 +271,17 @@ def dilate(f: BoundaryFunction, r: float) -> BoundaryFunction:
         )
     if r == 1.0:
         return f
-    scaled = np.zeros(f.sample_count, dtype=complex)
+    scaled = np.zeros(f.taylor.size, dtype=complex)
     nonzero = f.taylor != 0
     with np.errstate(over="ignore", invalid="ignore"):
-        weights = np.power(r, np.arange(f.sample_count, dtype=float)[nonzero])
+        weights = np.power(r, np.arange(f.taylor.size, dtype=float)[nonzero])
         scaled[nonzero] = f.taylor[nonzero] * weights
     if not np.all(np.isfinite(scaled)):
         raise AnalyticityError(
             f"dilation by {r:g} overflowed the coefficient tail; the declared "
             f"analytic_radius {f.analytic_radius:g} is not supported by the stored coefficients"
         )
-    return _build(_synthesize(scaled), scaled, f.analytic_radius / r)
+    return _from_coefficients(scaled, f.analytic_radius / r)
 
 
 def pairing(f, g) -> complex:

@@ -122,20 +122,21 @@ class NormSpec:
     def ring_radii(self) -> np.ndarray | None:
         """The circles a Bergman norm integrates over (its radial rule's
         radii); None for the norms that need only boundary values."""
-        if self.kind != "bergman":
+        if self.kind != "bergman" or self.p == math.inf:
             return None
         return bergman_radial_rule(self.alpha, self.radial_nodes)[0]
 
     def from_values(self, boundary: np.ndarray, rings: np.ndarray | None = None) -> float:
         """The norm from a function's boundary samples, and for Bergman from
         its values on the `ring_radii` circles (one row per radius):
-        trapezoid in angle, Gauss radially."""
+        trapezoid in angle, Gauss radially. A p = inf norm is the sup over
+        the disk, on the boundary by the maximum principle."""
+        if self.kind == "sup" or self.p == math.inf:
+            return float(np.max(np.abs(boundary)))
         if self.kind == "bergman":
             weights = bergman_radial_rule(self.alpha, self.radial_nodes)[1]
             angular_means = np.mean(np.abs(rings) ** self.p, axis=1)
             return float(np.dot(weights, angular_means) ** (1.0 / self.p))
-        if self.kind == "sup" or self.p == math.inf:
-            return float(np.max(np.abs(boundary)))
         return float(np.mean(np.abs(boundary) ** self.p) ** (1.0 / self.p))
 
     def evaluate(self, f: BoundaryFunction) -> float:

@@ -69,7 +69,8 @@ def check_taylor_round_trip(sample_count: int | None) -> None:
         coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
         f = from_taylor(coeffs, m)
         recovered = np.fft.fft(f.samples) / m
-        err = np.max(np.abs(recovered - f.taylor)) / np.max(np.abs(f.taylor))
+        recovered[: m // 2] -= f.taylor  # the other half must be 0
+        err = np.max(np.abs(recovered)) / np.max(np.abs(f.taylor))
         assert err <= 1e-12, f"round-trip relative error {err:.3e} at degree {degree}"
 
 
@@ -77,10 +78,6 @@ def check_riesz_idempotent(sample_count: int | None) -> None:
     m = sample_count or DEFAULT_SAMPLES
     rng = np.random.default_rng(_CORPUS_SEED + 4)
     raw = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    spectrum = np.fft.fft(raw) / m
-    once = fnspace.project_spectrum(spectrum)
-    twice = fnspace.project_spectrum(once)
-    assert np.array_equal(once, twice), "spectral projection is not exactly idempotent"
     projected = fnspace.riesz_project(raw)
     again = fnspace.riesz_project(projected.samples)
     scale = np.max(np.abs(projected.taylor))

@@ -112,6 +112,14 @@ class TestConvergence:
                        "--nterms", "4", "--bound", "kernel", "--out", str(tmp_path / "x.csv"))
         assert code == 2
 
+    def test_bergman_inf_column_is_the_sup(self, tmp_path):
+        out = tmp_path / "inf.csv"
+        code = run_cli("convergence", "--func", "poly:2", "--seq", "harmonic", "--nterms", "2",
+                       "--norms", "sup,bergman:inf:0", "--out", str(out))
+        assert code == 0
+        rows = self.read_rows(out)
+        assert [row["bergman:inf:0"] for row in rows] == [row["sup"] for row in rows]
+
     def test_lf_line_endings(self, tmp_path):
         out = tmp_path / "lf.csv"
         run_cli("convergence", "--func", "poly:1", "--seq", "harmonic-shifted",
@@ -161,8 +169,13 @@ class TestMalformedInput:
          "--norms", "bergman:2:0:0"],
         ["convergence", "--func", "kernel:0.3", "--seq", "harmonic-shifted", "--nterms", "4",
          "--norms", "bergman:2:0:-3"],
+        ["expand", "--func", "kernel:nan", "--seq", "harmonic", "--nterms", "4"],
+        ["expand", "--func", "kernel:0.3", "--seq", "harmonic:nan", "--nterms", "4"],
+        ["expand", "--func", "kernel:0.3", "--seq", "explicit:[nan,0.2]", "--nterms", "2"],
+        ["expand", "--func", "poly:1,nan", "--seq", "harmonic", "--nterms", "4"],
     ], ids=["samples-zero", "support-not-integer", "bergman-zero-nodes",
-            "bergman-negative-nodes"])
+            "bergman-negative-nodes", "kernel-nan", "harmonic-nan", "explicit-nan",
+            "poly-nan"])
     def test_rejected_as_usage_error(self, tmp_path, argv):
         assert run_cli(*argv, "--out", str(tmp_path / "no.out")) == 2
 

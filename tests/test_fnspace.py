@@ -15,7 +15,8 @@ from blaschke_basis import (
     pairing,
     riesz_project,
 )
-from blaschke_basis.fnspace import project_spectrum, samples_at_radius, unit_circle_grid
+from blaschke_basis.blaschke import FiniteBlaschkeProduct, product_as_function
+from blaschke_basis.fnspace import BoundaryFunction, samples_at_radius, unit_circle_grid
 
 
 def horner_oracle(coeffs, z):
@@ -60,6 +61,51 @@ class TestFromTaylor:
         with pytest.raises(PreconditionError):
             from_taylor([1], 16, analytic_radius=0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_rejects_non_finite_coefficients(self, bad):
+        with pytest.raises(PreconditionError, match="finite"):
+            from_taylor([1, bad], 16)
+
+
+class TestLayout:
+    """Only the M/2 analytic coefficients a_0..a_{M/2-1} are stored."""
+
+    M = 64
+
+    @pytest.mark.parametrize("build", [
+        lambda m: from_taylor([1, 2j, 3], m),
+        lambda m: from_samples(unit_circle_grid(m) ** 3),
+        lambda m: riesz_project(np.conj(unit_circle_grid(m)) + unit_circle_grid(m)),
+        lambda m: dilate(from_taylor([1, 2, 3], m, analytic_radius=2.0), 1.5),
+        lambda m: dilate(from_taylor([1, 2, 3], m), 0.5),
+        lambda m: cauchy_kernel(0.3 - 0.2j, m),
+        lambda m: product_as_function(FiniteBlaschkeProduct([0.5, -0.3j]), m),
+    ], ids=["from_taylor", "from_samples", "riesz_project", "dilate-expand",
+            "dilate-shrink", "cauchy_kernel", "product_as_function"])
+    def test_every_constructor_stores_half_the_grid(self, build):
+        f = build(self.M)
+        assert f.sample_count == self.M
+        assert f.samples.shape == (self.M,)
+        assert f.taylor.shape == (self.M // 2,)
+
+    def test_full_length_taylor_rejected(self):
+        f = from_taylor([1, 2], self.M)
+        padded = np.concatenate([f.taylor, np.zeros(self.M // 2)])
+        with pytest.raises(PreconditionError, match="sample_count/2=32"):
+            BoundaryFunction(f.samples, padded, self.M, 1.0)
+
+    def test_eval_bitwise_equal_to_zero_padded_horner(self):
+        rng = np.random.default_rng(12)
+        polyval = np.polynomial.polynomial.polyval
+        for trial in range(24):
+            m = 16 * 2 ** (trial % 4)
+            coeffs = rng.standard_normal(m // 2) + 1j * rng.standard_normal(m // 2)
+            f = from_taylor(coeffs, m)
+            z = 0.95 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+            padded = np.zeros(m, dtype=complex)
+            padded[: m // 2] = f.taylor
+            assert eval_inside(f, z) == complex(polyval(z, padded))
+
 
 class TestEvalInside:
     def test_constant(self):
@@ -98,6 +144,16 @@ class TestEvalInside:
         assert eval_inside(f, DiskPoint(0.25)) == pytest.approx(0.25)
 
 
+class TestFromSamples:
+    def test_negative_frequency_gated_before_it_is_dropped(self):
+        with pytest.raises(AnalyticityError, match="at bin 63 "):
+            from_samples(np.conj(unit_circle_grid(64)))
+
+    def test_nan_samples_rejected(self):
+        with pytest.raises(AnalyticityError):
+            from_samples(np.full(16, np.nan))
+
+
 class TestRieszProject:
     def test_conjugate_identity_projects_to_zero(self):
         grid = unit_circle_grid(64)
@@ -117,12 +173,6 @@ class TestRieszProject:
         values = np.conj((lam - grid) / (1 - lam * grid)) / (1 - lam * grid)
         f = riesz_project(values)
         assert np.max(np.abs(f.samples)) <= 1e-10
-
-    def test_spectral_projection_exactly_idempotent(self):
-        rng = np.random.default_rng(3)
-        spectrum = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        once = project_spectrum(spectrum)
-        assert np.array_equal(project_spectrum(once), once)
 
     def test_full_operation_idempotent_to_roundoff(self):
         rng = np.random.default_rng(4)
@@ -204,6 +254,11 @@ class TestDiskPoint:
         DiskPoint(1 - 1e-8)  # allowed
         with pytest.raises(PreconditionError):
             DiskPoint(1 - 1e-9)
+
+    @pytest.mark.parametrize("value", [np.nan, complex(0.1, np.nan), np.inf])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(PreconditionError):
+            DiskPoint(value)
 
     def test_serialization_round_trip(self):
         from blaschke_basis import BoundaryFunction

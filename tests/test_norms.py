@@ -120,6 +120,15 @@ class TestNormSpec:
         f = cauchy_kernel(0.5, M)
         assert spec.evaluate(f) == pytest.approx(sup_norm(f))
 
+    @pytest.mark.parametrize("text", ["bergman:inf:0", "bergman:inf:1.5"])
+    def test_bergman_inf_is_the_sup(self, text):
+        # A^inf_alpha is the sup over the disk, attained on the boundary
+        spec = NormSpec.parse(text)
+        assert spec.ring_radii is None
+        for f in (from_taylor([2], 64), cauchy_kernel(0.5 - 0.2j, M)):
+            assert spec.evaluate(f) == sup_norm(f)
+            assert bergman_norm(f, math.inf, spec.alpha) == sup_norm(f)
+
     def test_bad_specs_rejected(self):
         for text in ("hardy", "bergman:2", "chebyshev:1", "hardy:zero", "sup:2",
                      "bergman:2:0:0"):

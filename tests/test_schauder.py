@@ -282,7 +282,7 @@ def test_degradation_reports_step():
 
     grid = unit_circle_grid(64)
     samples = 1.0 / (1.0 - 0.5 * np.conj(grid))  # conjugate-kernel: not analytic
-    taylor = np.zeros(64, dtype=complex)
+    taylor = np.zeros(32, dtype=complex)
     taylor[0] = 1.0
     franken = BoundaryFunction(samples, taylor, 64, 1.0)
     seq = make_sequence("harmonic-shifted", 4)

@@ -3,7 +3,8 @@
     python3 tools/cli_contract.py > after.txt
 
 Runs a fixed list of commands through `blaschke_basis.cli.main` inside a
-temporary directory and prints one line per command:
+temporary directory, after writing the fixed function file `func.json` that
+the `file:` command reads there, and prints one line per command:
 
     <sha256> <exit code> <argv>
 
@@ -47,7 +48,16 @@ DATA_COMMANDS = [
     "expand --func ratgeo:0.8 --seq harmonic --nterms 100 --out j.json",
     "tmw witness --kmax 32 --seq harmonic --out k.json",
     "tmw witness --kmax 16 --support 2,3,5,11 --seq harmonic-shifted --samples 2048 --out l.json",
+    "expand --func file:func.json --seq harmonic:0.9 --nterms 50 --out m.json",
 ]
+
+#: The `file:` input: a truncated, non-entire function with complex
+#: coefficients, a declared radius and a grid other than the default.
+FUNCTION_FILE = (
+    '{"sample_count": 4096, "analytic_radius": 1.6, "taylor": ['
+    + ", ".join(f"[{0.6 ** k:.17g}, {(-0.5) ** k * 0.3:.17g}]" for k in range(40))
+    + "]}"
+)
 
 #: Commands that fail: the under-resolved witness (exit 3) and usage errors (exit 2).
 FAILING_COMMANDS = [
@@ -79,6 +89,8 @@ def main() -> int:
     start = os.getcwd()
     with tempfile.TemporaryDirectory() as workdir:
         os.chdir(workdir)
+        with open("func.json", "w", encoding="utf-8") as handle:
+            handle.write(FUNCTION_FILE)
         try:
             for command in DATA_COMMANDS + FAILING_COMMANDS:
                 digest, code = fingerprint(command)
