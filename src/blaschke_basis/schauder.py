@@ -1,8 +1,8 @@
 """Expansion of analytic functions in finite Blaschke products.
 
-Iterating the zero-extraction recurrence along a non-Blaschke sequence
-(lambda_n) of distinct points produces iterates h_n = T_{conj(B_n)} f and
-the telescoped representation
+Iterating the zero-extraction recurrence (on Taylor coefficients, see
+`toeplitz`) along a non-Blaschke sequence (lambda_n) of distinct points
+produces iterates h_n = T_{conj(B_n)} f and the telescoped representation
 
     f = sum_{n=0}^{N-1} c_n B_n + R_N f,
     c_n = h_n(lambda_{n+1}) - conj(lambda_n) h_{n-1}(lambda_n),
@@ -12,8 +12,9 @@ with the convention that the n = 0 coefficient is just f(lambda_1) (its
 second term carries the empty product of index -1, taken as 0). Residual
 norms are computed from the closed form for R_N, whose modulus on the
 circle equals |h_N + constant| because |B_N| = 1 there; the drift between
-f - S_N f and the closed form is tracked separately as
-remainder_identity_gap.
+f - S_N f, summed from grid running products, and the closed form is
+tracked separately as remainder_identity_gap, a cross-check of the
+coefficient chain by a route that shares no arithmetic with it.
 
 Evaluating a candidate expansion at the sequence points yields a lower
 triangular linear system (column j is B_j at the points, zero once the
@@ -42,7 +43,6 @@ from .errors import AnalyticityError, PreconditionError
 from .fnspace import (
     UNBOUNDED_RADIUS,
     BoundaryFunction,
-    eval_inside,  # noqa: F401 - a binding that bench/harness_checks.py inspects
     from_samples,
     samples_at_radius,
     unit_circle_grid,
@@ -115,8 +115,9 @@ def expansion_coefficients(
 
     Coefficients c_0..c_{n_terms-1} come from evaluating consecutive
     Toeplitz iterates at the sequence points; residual sup norms use the
-    closed-form remainder. Analyticity degradation at some step is reported
-    with its step index.
+    closed-form remainder. The coefficient chain is cross-checked against
+    the telescoped identity assembled from grid running products, and a
+    drift beyond IDENTITY_GAP_RTOL * sup|f| is reported.
     """
     _require_expandable(seq, n_terms)
     points = seq.points[:n_terms]
@@ -132,7 +133,9 @@ def expansion_coefficients(
     if n_terms > 1:
         coefficients[1:] = evals[1:] - np.conj(points[:-1]) * evals[:-1]
 
-    # Drift between the telescoped identity and the closed-form remainder.
+    # Drift between the telescoped identity and the closed-form remainder:
+    # the chain works on Taylor coefficients, the products on the grid
+    # samples, so this compares two routes that share no arithmetic.
     products = running_products(points, unit_circle_grid(f.sample_count))
     grid_partial = np.zeros(f.sample_count, dtype=complex)
     for c, product in zip(coefficients, products):  # stops before B_N

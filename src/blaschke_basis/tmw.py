@@ -70,8 +70,7 @@ def tmw_element(seq: PointSequence, n: int, sample_count: int) -> TMWElement:
         raise PreconditionError(f"element index {n} outside 1..{len(seq)}")
     samples = _element_rows(seq, [n], sample_count)[0]
     radius = min(pole_radius(p) for p in seq.points[:n])
-    scale = float(np.max(np.abs(samples)))
-    return TMWElement(n, from_samples(samples, radius, scale_floor=scale), seq)
+    return TMWElement(n, from_samples(samples, radius), seq)
 
 
 def gram_matrix(seq: PointSequence, k: int, sample_count: int) -> np.ndarray:
@@ -191,9 +190,8 @@ def lacunary_witness(
     total = np.zeros(sample_count, dtype=complex)
     for c, row in zip(coefficients, _element_rows(seq, indices, sample_count)):
         total = total + c * row
-    scale = float(np.max(np.abs(total)))
     radius = min(pole_radius(p) for p in seq.points[: indices[-1]])
-    witness_fn = from_samples(total, radius, scale_floor=scale)
+    witness_fn = from_samples(total, radius)
 
     # the chain's own evaluations: step n yields iterate_{n-1} f (lambda_n)
     evaluations = [abs(value) for value, _, _ in iterates(witness_fn, seq.points[: indices[-1]])]

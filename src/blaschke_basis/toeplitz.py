@@ -1,16 +1,23 @@
 """Conjugate-analytic Toeplitz operators T applied through an exact recurrence.
 
-For a single factor the operator with symbol conj(b_lambda) is computed by
-zero extraction:
+For a single factor the operator with symbol conj(b_lambda) acts on Taylor
+coefficients by zero extraction:
 
-    T f = (f - f(lambda) * (1 - conj(lambda) b_lambda)) / b_lambda,
+    T f = conj(lambda) f(lambda) + (conj(lambda) z - 1) Q,
+    Q = (f - f(lambda)) / (z - lambda).
 
-evaluated sample-wise on the circle, where |b_lambda| = 1 makes the division
-stable; the numerator vanishes at lambda, so the quotient is analytic. This
-route is alias-free and exact on polynomials. Products of factors act by
-walking the chain of single-factor steps in `iterates`, the one loop over the
-recurrence. The projection route P(conj(symbol) * f) is kept as an
-independent cross-check.
+One backward deflation b_k = a_k + lambda b_{k+1} of the coefficients gives
+both f(lambda) = b_0 and the coefficients b_1, b_2, ... of Q; the pass is
+stable for |lambda| < 1 (Wilkinson, Rounding Errors in Algebraic Processes,
+1963) and maps a polynomial of degree d to one of degree d, so it is exact
+on polynomials and introduces no aliasing. Products of factors act by
+walking the chain of single-factor steps in `iterates`, the one loop over
+the recurrence.
+
+Two independent routes are kept as oracles: the grid formula
+T f = (f - f(lambda) (1 - conj(lambda) b_lambda)) / b_lambda on the circle
+(in `factor_sup_bound_check`) and the projection P(conj(symbol) f) in
+`toeplitz_general_apply`.
 """
 
 from __future__ import annotations
@@ -26,8 +33,7 @@ from .fnspace import (
     ANALYTICITY_RTOL,
     BoundaryFunction,
     dilate,
-    eval_inside,
-    from_samples,
+    from_taylor,
     point_value,
     riesz_project,
     unit_circle_grid,
@@ -35,21 +41,33 @@ from .fnspace import (
 from .norms import BoundCheck, hardy_norm, sup_norm
 
 
-def zero_extraction_step(f: BoundaryFunction, lam, scale_floor: float) -> tuple[complex, BoundaryFunction]:
+def _deflate(coeffs: np.ndarray, lam: complex) -> np.ndarray:
+    """b_k = sum_{j >= k} a_j lambda^(j-k), the backward deflation
+    b_k = a_k + lambda b_{k+1}, by a doubling scan: after the stage with
+    stride s every b_k sums the next 2s coefficients."""
+    b = coeffs.copy()
+    stride, power = 1, lam
+    while stride < b.size:
+        b[:-stride] += power * b[stride:]
+        stride, power = 2 * stride, power * power
+    return b
+
+
+def zero_extraction_step(f: BoundaryFunction, lam) -> tuple[complex, BoundaryFunction]:
     """One step of the recurrence: (f(lambda), T f) for the symbol conj(b_lambda).
 
-    f(lambda) is taken from f's Taylor coefficients so each composition step
-    is self-contained. The result extends analytically past the circle; the
-    radius is propagated conservatively as min(f.analytic_radius, 1/|lambda|).
-    Its analyticity is judged against scale_floor (see `from_samples`), which
-    a chain holds at the scale of its first input.
+    Both come from one deflation of f's Taylor coefficients, so each
+    composition step is self-contained and a polynomial keeps its degree.
+    The result extends analytically past the circle; the radius is
+    propagated conservatively as min(f.analytic_radius, 1/|lambda|).
     """
     lam = point_value(lam)
-    b = blaschke_factor(lam, unit_circle_grid(f.sample_count))
-    value = eval_inside(f, lam)
-    quotient = (f.samples - value * (1.0 - np.conj(lam) * b)) / b
+    b = _deflate(f.taylor, lam)
+    # Q has coefficients b_1, b_2, ..., so t_k = conj(lambda) b_k - b_{k+1}
+    t = np.conj(lam) * b
+    t[:-1] -= b[1:]
     radius = min(f.analytic_radius, pole_radius(lam))
-    return value, from_samples(quotient, radius, scale_floor=scale_floor)
+    return complex(b[0]), from_taylor(t, f.sample_count, radius)
 
 
 def iterates(f: BoundaryFunction, points):
@@ -59,22 +77,17 @@ def iterates(f: BoundaryFunction, points):
     Yields, for n = 1..len(points), the evaluation h_{n-1}(lambda_n), the
     shift -conj(lambda_n) h_{n-1}(lambda_n) and the iterate h_n; R_n f is
     (shift + h_n) * B_n, so shift + h_n has the moduli of R_n f on the circle.
-    Every step judges analyticity against sup|f|, and a failure names its step.
     """
-    scale = sup_norm(f)
     h = f
-    for step, lam in enumerate(points, start=1):
-        try:
-            value, h = zero_extraction_step(h, lam, scale)
-        except AnalyticityError as exc:
-            raise AnalyticityError(f"analyticity degraded at step {step}: {exc}") from exc
+    for lam in points:
+        value, h = zero_extraction_step(h, lam)
         yield value, -np.conj(lam) * value, h
 
 
 def toeplitz_factor_apply(f: BoundaryFunction, lam) -> BoundaryFunction:
-    """Apply the operator with symbol conj(b_lambda) by the zero-extraction
-    recurrence, judging analyticity against sup|f|."""
-    return zero_extraction_step(f, lam, sup_norm(f))[1]
+    """Apply the operator with symbol conj(b_lambda): the iterate of one
+    zero-extraction step on the Taylor coefficients."""
+    return zero_extraction_step(f, lam)[1]
 
 
 def toeplitz_product_apply(f: BoundaryFunction, product: FiniteBlaschkeProduct) -> BoundaryFunction:
@@ -142,9 +155,13 @@ def dilation_sup_bound_check(
 
 def factor_sup_bound_check(f: BoundaryFunction, lam) -> FactorBoundCheck:
     """Check sup|T_{conj(b_lambda)} f| <= 3 sup|f|, and that the operator
-    norm equals the numerator norm sample-for-sample on the grid."""
+    norm equals the numerator norm sample-for-sample on the grid.
+
+    T f comes from the coefficient recurrence and the numerator
+    f - f(lambda)(1 - conj(lambda) b_lambda) from the grid, so the equality
+    check compares two independent routes."""
     lam = point_value(lam)
-    value, applied = zero_extraction_step(f, lam, sup_norm(f))
+    value, applied = zero_extraction_step(f, lam)
     b = blaschke_factor(lam, unit_circle_grid(f.sample_count))
     numerator = f.samples - value * (1.0 - np.conj(lam) * b)
     lhs = sup_norm(applied)

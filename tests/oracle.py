@@ -1,0 +1,84 @@
+"""A 40-digit reference for the Toeplitz chain and its closed forms.
+
+Everything here runs on `mpmath` numbers and calls nothing of the library:
+
+- `deflation_chain` runs the zero-extraction recurrence on a coefficient list
+  by sequential backward deflation, the textbook form of the step that the
+  library computes with a doubling scan in double precision;
+- `kernel_coefficients` gives the expansion coefficients of the Cauchy kernel
+  k_a(z) = 1/(1 - conj(a) z) from the eigen-relation
+  T_{conj(B_n)} k_a = conj(B_n(a)) k_a, which needs no chain at all;
+- `witness_values` and `functional_norms` are the TMW closed forms
+  c_n / sqrt(1 - |lambda_n|^2) and 1 / sqrt(1 - |lambda_n|^2).
+
+Inputs are Python or numpy numbers, taken as exact binary values; outputs are
+mpmath numbers, so callers choose where to round.
+"""
+
+from __future__ import annotations
+
+import mpmath
+
+DIGITS = 40
+
+
+def _mp(z) -> mpmath.mpc:
+    return mpmath.mpc(complex(z))
+
+
+def deflation_chain(coeffs, points):
+    """(values, iterates) of the chain h_n = T_{conj(b_{lambda_n})} h_{n-1},
+    h_0 = sum_k coeffs[k] z^k: values[n-1] = h_{n-1}(lambda_n) and
+    iterates[n-1] the coefficient list of h_n (same length as coeffs)."""
+    values, chain = [], []
+    with mpmath.workdps(DIGITS):
+        a = [_mp(c) for c in coeffs]
+        for lam in map(_mp, points):
+            b = list(a)
+            for k in range(len(b) - 2, -1, -1):
+                b[k] += lam * b[k + 1]
+            # T f = conj(lam) f(lam) + (conj(lam) z - 1) Q, Q = sum_k b_{k+1} z^k
+            conj_lam = mpmath.conj(lam)
+            a = [conj_lam * b[k] - (b[k + 1] if k + 1 < len(b) else 0) for k in range(len(b))]
+            values.append(b[0])
+            chain.append(a)
+    return values, chain
+
+
+def kernel_coefficients(alpha, points):
+    """c_0..c_{N-1} of the expansion of k_alpha along lambda_1..lambda_N:
+    c_0 = k(lambda_1), c_n = conj(B_n(alpha)) k(lambda_{n+1})
+    - conj(lambda_n) conj(B_{n-1}(alpha)) k(lambda_n)."""
+    with mpmath.workdps(DIGITS):
+        alpha = _mp(alpha)
+        lams = [_mp(p) for p in points]
+
+        def kernel(z):
+            return 1 / (1 - mpmath.conj(alpha) * z)
+
+        # products[n] = B_n(alpha), n = 0..N-1
+        products = [mpmath.mpc(1)]
+        for lam in lams[:-1]:
+            products.append(products[-1] * (lam - alpha) / (1 - mpmath.conj(lam) * alpha))
+        coefficients = [kernel(lams[0])]
+        for n in range(1, len(lams)):
+            coefficients.append(
+                mpmath.conj(products[n]) * kernel(lams[n])
+                - mpmath.conj(lams[n - 1]) * mpmath.conj(products[n - 1]) * kernel(lams[n - 1])
+            )
+    return coefficients
+
+
+def functional_norms(points):
+    """1/sqrt(1 - |lambda|^2) for each point: the norm of evaluating the
+    iterate at that point, as a functional on H^2."""
+    with mpmath.workdps(DIGITS):
+        return [1 / mpmath.sqrt(1 - abs(_mp(p)) ** 2) for p in points]
+
+
+def witness_values(support, exponent, points):
+    """c_n / sqrt(1 - |lambda_n|^2), c_n = n^(-exponent), for each index n
+    of the lacunary witness's support and its point lambda_n."""
+    with mpmath.workdps(DIGITS):
+        return [mpmath.mpf(n) ** (-mpmath.mpf(exponent)) * norm
+                for n, norm in zip(support, functional_norms(points))]
