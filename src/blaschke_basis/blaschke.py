@@ -159,7 +159,8 @@ def running_products(zeros, z, start=None):
     prefixes of `zeros`, multiplying in one factor per step (vectorized over
     z of any shape; start defaults to 1).
 
-    Every product the library evaluates is formed here, one multiplication
+    Every product the library evaluates is formed here or, where only its
+    modulus is needed, in `running_squared_moduli` below, one multiplication
     per factor in sequence order; only the independent oracles (triangular
     reconstruction, the selftest span builder) multiply their own, and so do
     the TMW elements. Those are products of different lengths over one
@@ -175,6 +176,45 @@ def running_products(zeros, z, start=None):
     for zero in zeros:
         start = start * blaschke_factor(zero, z)
         yield start
+
+
+def running_squared_moduli(zeros, z):
+    """Yield |B_0(z)|^2, |B_1(z)|^2, ..., |B_n(z)|^2 for the prefixes of
+    `zeros` at points |z| <= 1, in real arithmetic (vectorized over z of any
+    shape).
+
+    Each factor comes from the identity
+    |1 - conj(lambda) z|^2 = |lambda - z|^2 + (1 - |lambda|^2)(1 - |z|^2),
+    so |b_lambda(z)|^2 = |lambda - z|^2 / |1 - conj(lambda) z|^2 is a ratio
+    of sums of nonnegative terms: no complex division, and no cancellation
+    as z approaches lambda. The points' coordinates are read once; each step
+    is a few real multiply-adds, done in place. The yielded array is
+    overwritten by the next step, so copy it to keep it.
+    """
+    z = np.asarray(z, dtype=complex)
+    x, y = z.real.copy(), z.imag.copy()
+    del z  # the coordinates are all the steps read
+    inside = 1.0 - (x * x + y * y)
+    distance, denom = np.empty_like(x), np.empty_like(x)
+    moduli = np.ones_like(x)
+    yield moduli
+    for zero in zeros:
+        lam = point_value(zero)
+        np.subtract(lam.real, x, out=distance)
+        distance *= distance
+        np.subtract(lam.imag, y, out=denom)
+        denom *= denom
+        distance += denom
+        np.multiply(inside, 1.0 - abs(lam) ** 2, out=denom)
+        denom += distance
+        # the same floor as blaschke_factor's |1 - conj(lambda) z|, squared
+        if np.min(denom) < _DENOMINATOR_FLOOR ** 2:
+            raise AnalyticityError(
+                f"degenerate factor denominator |1 - conj(lambda) z| < {_DENOMINATOR_FLOOR:g}"
+            )
+        distance /= denom
+        moduli *= distance
+        yield moduli
 
 
 def product_eval(product: FiniteBlaschkeProduct, z) -> complex | np.ndarray:

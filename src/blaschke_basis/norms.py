@@ -128,9 +128,10 @@ class NormSpec:
 
     def from_values(self, boundary: np.ndarray, rings: np.ndarray | None = None) -> float:
         """The norm from a function's boundary samples, and for Bergman from
-        its values on the `ring_radii` circles (one row per radius):
-        trapezoid in angle, Gauss radially. A p = inf norm is the sup over
-        the disk, on the boundary by the maximum principle."""
+        its values or their moduli on the `ring_radii` circles (one row per
+        radius; only |f| enters): trapezoid in angle, Gauss radially. A
+        p = inf norm is the sup over the disk, on the boundary by the maximum
+        principle."""
         if self.kind == "sup" or self.p == math.inf:
             return float(np.max(np.abs(boundary)))
         if self.kind == "bergman":

@@ -38,13 +38,13 @@ from .blaschke import (
     pole_radius,
     product_eval,
     running_products,
+    running_squared_moduli,
 )
 from .errors import AnalyticityError, PreconditionError
 from .fnspace import (
     UNBOUNDED_RADIUS,
     BoundaryFunction,
     from_samples,
-    samples_at_radius,
     unit_circle_grid,
 )
 from .norms import DOMINATION_SLACK, EMBEDDING_CONSTANT, SUP, NormSpec, sup_norm
@@ -226,6 +226,39 @@ class ConvergenceTable:
         return "\n".join(lines) + "\n"
 
 
+class _RingModuli:
+    """|R_n| = |shift + h_n| * |B_n| on the circles of one Bergman radial
+    rule, one chain step at a time.
+
+    What does not depend on h_n is set up once per call: the power table
+    r_i^k, one spectrum buffer the inverse FFT overwrites in place, the
+    moduli buffer, and the running |B_n|^2 on the ring points. `step` must
+    be called for n = 0, 1, ... in order; it returns one row of moduli per
+    radius, overwritten by the next step.
+    """
+
+    def __init__(self, radii: np.ndarray, points: np.ndarray, sample_count: int):
+        self.powers = np.power(radii[:, None], np.arange(sample_count // 2, dtype=float))
+        self.values = np.empty((radii.size, sample_count), dtype=complex)
+        self.moduli = np.empty(self.values.shape)
+        self.products = running_squared_moduli(
+            points, radii[:, None] * unit_circle_grid(sample_count)
+        )
+
+    def step(self, shift: complex, h: BoundaryFunction) -> np.ndarray:
+        half = self.powers.shape[1]
+        np.multiply(h.taylor, self.powers, out=self.values[:, :half])
+        self.values[:, half:] = 0.0
+        # unnormalized inverse, in place: values[k] = sum_n a_n r^n omega^(n k)
+        np.fft.ifft(self.values, norm="forward", out=self.values)
+        self.values += shift
+        # |R_n| = sqrt(|shift + h_n|^2 |B_n|^2)
+        np.abs(self.values, out=self.moduli)
+        self.moduli *= self.moduli
+        self.moduli *= next(self.products)
+        return np.sqrt(self.moduli, out=self.moduli)
+
+
 def convergence_study(
     f: BoundaryFunction,
     seq: PointSequence,
@@ -245,21 +278,20 @@ def convergence_study(
     specs = [s if isinstance(s, NormSpec) else NormSpec.parse(s) for s in norm_specs]
     extra_specs = [s for s in specs if s.label != "sup"]
     points = seq.points[:n_max]
-    grid = unit_circle_grid(f.sample_count)
 
     labels = ["sup"] + [s.label for s in extra_specs]
     columns: dict[str, list[float]] = {label: [] for label in labels}
 
-    # Bergman columns evaluate R_n = (shift + h_n) * B_n on interior circles
-    # from its exact factors: the iterate's coefficients give the first part,
-    # the rational formula gives the product. No spectral representation of
-    # the (possibly heavily-tailed) product is ever formed. Specs on the same
-    # circles share their ring values.
-    ring_radii = {
-        (s.alpha, s.radial_nodes): s.ring_radii for s in extra_specs if s.ring_radii is not None
-    }
-    ring_products = {
-        key: running_products(points, radii[:, None] * grid) for key, radii in ring_radii.items()
+    # Bergman columns need |R_n| = |shift + h_n| * |B_n| on interior circles.
+    # The first factor comes from the iterate's coefficients, scaled by a
+    # power table r^k built once per call and synthesized by one in-place
+    # inverse FFT per step; the second from the closed-form factor moduli of
+    # `running_squared_moduli`, so no spectral representation of the
+    # (possibly heavily-tailed) product is ever formed. Specs on the same
+    # circles share their ring moduli.
+    rings = {
+        (s.alpha, s.radial_nodes): _RingModuli(s.ring_radii, points, f.sample_count)
+        for s in extra_specs if s.ring_radii is not None
     }
 
     # row 0 is R_0 f = f: no shift, and B_0 = 1
@@ -267,14 +299,11 @@ def convergence_study(
     for n, (shift, h) in enumerate(steps):
         # |R_n| = |modulated| on the grid since |B_n| = 1 there
         modulated = shift + h.samples
-        rings = {
-            key: (shift + samples_at_radius(h, radii)) * next(ring_products[key])
-            for key, radii in ring_radii.items()
-        }
+        moduli = {key: ring.step(shift, h) for key, ring in rings.items()}
         sup_val = SUP.from_values(modulated)
         columns["sup"].append(sup_val)
         for spec in extra_specs:
-            val = spec.from_values(modulated, rings.get((spec.alpha, spec.radial_nodes)))
+            val = spec.from_values(modulated, moduli.get((spec.alpha, spec.radial_nodes)))
             if val > EMBEDDING_CONSTANT * sup_val + DOMINATION_SLACK:
                 raise AnalyticityError(
                     f"norm {spec.label} = {val:.12g} exceeds C0 * sup = {sup_val:.12g} "

@@ -31,7 +31,7 @@ from .blaschke import (
 )
 from .errors import PreconditionError
 from .fnspace import BoundaryFunction, from_samples, unit_circle_grid
-from .toeplitz import iterates
+from .toeplitz import deflation_value, iterates
 
 DEFAULT_TMW_SAMPLE_COUNT = 8192
 
@@ -193,8 +193,13 @@ def lacunary_witness(
     radius = min(pole_radius(p) for p in seq.points[: indices[-1]])
     witness_fn = from_samples(total, radius)
 
-    # the chain's own evaluations: step n yields iterate_{n-1} f (lambda_n)
-    evaluations = [abs(value) for value, _, _ in iterates(witness_fn, seq.points[: indices[-1]])]
+    # the chain's own evaluations: step n yields iterate_{n-1} f (lambda_n);
+    # the last is taken without building iterate_kmax, which no value reads
+    points = seq.points[: indices[-1]]
+    h, evaluations = witness_fn, []
+    for value, _, h in iterates(witness_fn, points[:-1]):
+        evaluations.append(abs(value))
+    evaluations.append(abs(deflation_value(h, points[-1])))
     values = [evaluations[n - 1] for n in indices]
 
     moduli = [abs(seq.points[n - 1]) for n in indices]

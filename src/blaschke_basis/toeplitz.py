@@ -53,6 +53,13 @@ def _deflate(coeffs: np.ndarray, lam: complex) -> np.ndarray:
     return b
 
 
+def deflation_value(f: BoundaryFunction, lam) -> complex:
+    """f(lambda) as `zero_extraction_step` reports it, bit for bit (b_0 of
+    the same deflation), without assembling T f: for a chain's last
+    evaluation, whose iterate nothing reads."""
+    return complex(_deflate(f.taylor, point_value(lam))[0])
+
+
 def zero_extraction_step(f: BoundaryFunction, lam) -> tuple[complex, BoundaryFunction]:
     """One step of the recurrence: (f(lambda), T f) for the symbol conj(b_lambda).
 

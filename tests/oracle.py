@@ -9,7 +9,9 @@ Everything here runs on `mpmath` numbers and calls nothing of the library:
   k_a(z) = 1/(1 - conj(a) z) from the eigen-relation
   T_{conj(B_n)} k_a = conj(B_n(a)) k_a, which needs no chain at all;
 - `witness_values` and `functional_norms` are the TMW closed forms
-  c_n / sqrt(1 - |lambda_n|^2) and 1 / sqrt(1 - |lambda_n|^2).
+  c_n / sqrt(1 - |lambda_n|^2) and 1 / sqrt(1 - |lambda_n|^2);
+- `squared_product_moduli` multiplies out |B_N(z)|^2 from the factor
+  formula (lambda - z)/(1 - conj(lambda) z).
 
 Inputs are Python or numpy numbers, taken as exact binary values; outputs are
 mpmath numbers, so callers choose where to round.
@@ -82,3 +84,16 @@ def witness_values(support, exponent, points):
     with mpmath.workdps(DIGITS):
         return [mpmath.mpf(n) ** (-mpmath.mpf(exponent)) * norm
                 for n, norm in zip(support, functional_norms(points))]
+
+
+def squared_product_moduli(zeros, points):
+    """|B_N(z)|^2 = prod_k |(lambda_k - z)/(1 - conj(lambda_k) z)|^2 for each z."""
+    with mpmath.workdps(DIGITS):
+        lams = [_mp(lam) for lam in zeros]
+        out = []
+        for z in map(_mp, points):
+            product = mpmath.mpf(1)
+            for lam in lams:
+                product *= abs((lam - z) / (1 - mpmath.conj(lam) * z)) ** 2
+            out.append(product)
+    return out

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import oracle
+
 from blaschke_basis import (
     FiniteBlaschkeProduct,
     PreconditionError,
@@ -16,7 +18,10 @@ from blaschke_basis import (
     product_as_function,
     product_eval,
 )
+from blaschke_basis.blaschke import running_products, running_squared_moduli
+from blaschke_basis.errors import AnalyticityError
 from blaschke_basis.fnspace import unit_circle_grid
+from blaschke_basis.norms import bergman_radial_rule
 
 
 def direct_product_oracle(zeros, z):
@@ -74,6 +79,63 @@ class TestProductEval:
             assert product_eval(combined, z) == pytest.approx(
                 product_eval(first, z) * product_eval(second, z), abs=1e-14
             )
+
+
+class TestRunningSquaredModuli:
+    @staticmethod
+    def ring_points(sample_count=256):
+        # the circles of the 64-node Bergman rule, the outermost at
+        # r = 1 - 1.7e-4 included
+        radii = bergman_radial_rule(0.0, 64)[0]
+        return radii[:, None] * unit_circle_grid(sample_count)
+
+    @staticmethod
+    def zeros(count=60):
+        rng = np.random.default_rng(11)
+        points = 0.95 * np.sqrt(rng.uniform(size=count)) * np.exp(2j * np.pi * rng.uniform(size=count))
+        # every seventh zero at |lambda| = 1 - 1e-8 (to seven digits, so that
+        # rounding keeps it inside the boundary guard)
+        points[::7] = (1.0 - 1.0000001e-8) * np.exp(2j * np.pi * rng.uniform(size=points[::7].size))
+        return points
+
+    def test_matches_complex_running_products_on_rings(self):
+        # |B_n|^2 from the real identity against |B_n|^2 of the complex
+        # products at the same points, n = 0..60: worst relative gap
+        # measured 4.7e-14 (at n = 52), over values down to 1.5e-34
+        z = self.ring_points()
+        worst = 0.0
+        pairs = zip(running_products(self.zeros(), z), running_squared_moduli(self.zeros(), z))
+        for n, (product, squared) in enumerate(pairs):
+            reference = np.abs(product) ** 2
+            worst = max(worst, float(np.max(np.abs(squared - reference) / reference)))
+        assert n == 60
+        assert worst <= 1e-13
+
+    def test_matches_40_digit_products(self):
+        # the innermost and outermost circles, every eighth angle, after all
+        # 60 factors: worst relative gap measured 7.0e-15 (the complex
+        # products: 4.3e-15)
+        z = self.ring_points()[[0, -1], ::8].ravel()
+        for squared in running_squared_moduli(self.zeros(), z):
+            pass
+        reference = oracle.squared_product_moduli(self.zeros(), z)
+        gap = max(abs(float((value - exact) / exact)) for value, exact in zip(squared, reference))
+        assert gap <= 1e-14
+
+    def test_first_yield_is_one_and_zero_at_a_zero(self):
+        lam = 0.4 - 0.3j
+        moduli = running_squared_moduli([lam], np.array([lam, 0.0, np.exp(0.3j)]))
+        assert np.array_equal(next(moduli), np.ones(3))
+        assert next(moduli) == pytest.approx([0.0, abs(lam) ** 2, 1.0], abs=1e-15)
+
+    def test_degenerate_denominator_rejected(self):
+        # the floor cannot trip at |z| <= 1 for points inside the guard; at
+        # the pole z = 1/conj(lambda) both routes refuse
+        lam, pole = 0.5, np.array([2.0])
+        with pytest.raises(AnalyticityError, match="degenerate factor denominator"):
+            list(running_squared_moduli([lam], pole))
+        with pytest.raises(AnalyticityError, match="degenerate factor denominator"):
+            blaschke_factor(lam, pole)
 
 
 class TestProductAsFunction:

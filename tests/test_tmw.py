@@ -12,11 +12,13 @@ from blaschke_basis import (
     functional_norm,
     gram_matrix,
     hardy_norm,
+    iterates,
     lacunary_witness,
     make_sequence,
     tmw_element,
     toeplitz_factor_apply,
 )
+from blaschke_basis import toeplitz
 from blaschke_basis.tmw import resolve_support
 
 M = 8192
@@ -153,6 +155,20 @@ class TestWitness:
             assert value == pytest.approx(expected, rel=1e-7)
         assert all(a < b for a, b in zip(report.values, report.values[1:]))
         assert report.l2_partial_sum <= 2.0
+
+    def test_chain_stops_before_the_unread_iterate(self, monkeypatch):
+        # values up to h_{kmax-1}(lambda_kmax) need kmax - 1 steps; they are
+        # the full chain's evaluations bit for bit
+        seq = make_sequence("harmonic-shifted", 8)
+        steps = []
+        step = toeplitz.zero_extraction_step
+        monkeypatch.setattr(toeplitz, "zero_extraction_step",
+                            lambda f, lam: steps.append(lam) or step(f, lam))
+        report = lacunary_witness(seq, 8, support="pow2", sample_count=512)
+        assert len(steps) == 7
+        monkeypatch.undo()
+        chain = [abs(value) for value, _, _ in iterates(report.function, seq.points[:8])]
+        assert report.values == [chain[n - 1] for n in report.support]
 
     def test_cross_terms_cancel(self):
         seq = make_sequence("harmonic-shifted", 16)
