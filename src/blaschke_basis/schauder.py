@@ -289,10 +289,10 @@ def convergence_study(
     # `running_squared_moduli`, so no spectral representation of the
     # (possibly heavily-tailed) product is ever formed. Specs on the same
     # circles share their ring moduli.
-    rings = {
-        (s.alpha, s.radial_nodes): _RingModuli(s.ring_radii, points, f.sample_count)
-        for s in extra_specs if s.ring_radii is not None
+    ring_radii = {
+        (s.alpha, s.radial_nodes): s.ring_radii for s in extra_specs if s.ring_radii is not None
     }
+    rings = {key: _RingModuli(radii, points, f.sample_count) for key, radii in ring_radii.items()}
 
     # row 0 is R_0 f = f: no shift, and B_0 = 1
     steps = itertools.chain([(0.0, f)], ((shift, h) for _, shift, h in iterates(f, points)))
