@@ -1,13 +1,13 @@
-"""Boundary-sampled analytic functions on the closed unit disk.
+"""Analytic functions on the closed unit disk, held as Taylor coefficients.
 
-A function is stored by its values at the M-th roots of unity together with
-its Taylor coefficients a_0..a_{M/2-1}, recovered from those values by the
-discrete Fourier transform. M is a power of two and the usable Taylor
-bandwidth is M/2: spectral bins M/2..M-1 are where negative frequencies
-alias on the grid, so they must be numerically empty for a sample vector to
-count as analytic, and only the M/2 analytic coefficients are stored. Inputs
-that would genuinely populate the other bins are rejected rather than
-silently aliased.
+A function is stored as its Taylor coefficients a_0..a_{M/2-1} and nothing
+else; its values at the M-th roots of unity are a view synthesized from them
+by the discrete Fourier transform, and its values inside the disk come from
+one backward deflation of them (`deflate`). M is a power of two and the
+usable Taylor bandwidth is M/2: spectral bins M/2..M-1 are where negative
+frequencies alias on the grid, so they must be numerically empty for a
+sample vector to count as analytic. Inputs that would genuinely populate
+them are rejected rather than silently aliased.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs.
@@ -16,7 +16,7 @@ function of its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -94,44 +94,77 @@ def _synthesize(taylor: np.ndarray) -> np.ndarray:
     return np.fft.ifft(spectrum) * spectrum.shape[-1]
 
 
-def _analyze(samples: np.ndarray) -> np.ndarray:
-    return np.fft.fft(samples) / samples.size
+def _analyze(samples) -> tuple[np.ndarray, np.ndarray]:
+    """The validated sample vector and its spectrum."""
+    arr = np.asarray(samples, dtype=complex)
+    if arr.ndim != 1:
+        raise PreconditionError("samples must be a 1-d sequence")
+    _validate_sample_count(arr.size)
+    return arr, np.fft.fft(arr) / arr.size
+
+
+def deflate(coeffs: np.ndarray, z: complex) -> np.ndarray:
+    """b_k = sum_{j >= k} a_j z^(j-k), the backward deflation
+    b_k = a_k + z b_{k+1}, by a doubling scan: after the stage with
+    stride s every b_k sums the next 2s coefficients.
+
+    b_0 is the polynomial's value at z, and b_1, b_2, ... are the
+    coefficients of the quotient (f - f(z)) / (w - z); the pass is stable
+    for |z| < 1. The library's only point evaluator.
+    """
+    b = coeffs.copy()
+    stride, power = 1, z
+    while stride < b.size:
+        b[:-stride] += power * b[stride:]
+        stride, power = 2 * stride, power * power
+    return b
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class BoundaryFunction:
-    """An analytic function represented by M boundary samples.
+    """An analytic function held by its Taylor coefficients.
 
     Fields
     ------
-    samples : complex values f(exp(2*pi*i*k/M)), k = 0..M-1
-    taylor : the M/2 analytic Taylor coefficients a_0..a_{M/2-1}, nothing else
-    sample_count : M, a power of two >= 16
+    taylor : the M/2 analytic Taylor coefficients a_0..a_{M/2-1}, a 1-d
+        array; M is a power of two >= MIN_SAMPLE_COUNT
     analytic_radius : declared radius of analyticity (>= 1; 1 means
         boundary-only, so no expanding dilation is allowed)
+
+    The grid size M = `sample_count` and the boundary values `samples` are
+    derived from `taylor`.
     """
 
-    samples: np.ndarray
     taylor: np.ndarray
-    sample_count: int
     analytic_radius: float
 
     def __post_init__(self) -> None:
-        samples = np.array(self.samples, dtype=complex)
         taylor = np.array(self.taylor, dtype=complex)
-        _validate_sample_count(self.sample_count)
-        if samples.shape != (self.sample_count,) or taylor.shape != (self.sample_count // 2,):
-            raise PreconditionError(f"samples must have length sample_count={self.sample_count}"
-                                    f" and taylor length sample_count/2={self.sample_count // 2}")
+        if taylor.ndim != 1:
+            raise PreconditionError(f"taylor must be 1-d, got shape {taylor.shape}")
+        _validate_sample_count(2 * taylor.size)
         if not self.analytic_radius >= 1.0:
             raise PreconditionError(
                 f"analytic_radius must be >= 1, got {self.analytic_radius!r}"
             )
-        samples.setflags(write=False)
         taylor.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "taylor", taylor)
         object.__setattr__(self, "analytic_radius", float(self.analytic_radius))
+
+    @property
+    def sample_count(self) -> int:
+        """M, the number of boundary samples: twice the stored coefficients."""
+        return 2 * self.taylor.size
+
+    @cached_property
+    def samples(self) -> np.ndarray:
+        """Values f(exp(2*pi*i*k/M)), k = 0..M-1 (read-only), synthesized on
+        first access. The cache is a pure function of the frozen
+        coefficients, so concurrent first reads can only store equal
+        arrays."""
+        samples = _synthesize(self.taylor)
+        samples.setflags(write=False)
+        return samples
 
     def __repr__(self) -> str:
         return (
@@ -154,15 +187,11 @@ class BoundaryFunction:
     def from_jsonable(cls, obj: dict) -> "BoundaryFunction":
         try:
             coeffs = [complex(re, im) for re, im in obj["taylor"]]
-            sample_count = int(obj["sample_count"])
+            sample_count = obj["sample_count"]
             radius = float(obj["analytic_radius"])
         except (KeyError, TypeError, ValueError) as exc:
             raise PreconditionError(f"malformed BoundaryFunction object: {exc}") from exc
         return from_taylor(coeffs, sample_count, radius)
-
-
-def _from_coefficients(taylor: np.ndarray, analytic_radius: float) -> BoundaryFunction:
-    return BoundaryFunction(_synthesize(taylor), taylor, 2 * taylor.size, float(analytic_radius))
 
 
 def from_taylor(
@@ -185,13 +214,11 @@ def from_taylor(
             f"{coeffs.size} coefficients exceed the aliasing-safe bandwidth "
             f"{sample_count // 2} of sample_count={sample_count}"
         )
-    if not analytic_radius >= 1.0:
-        raise PreconditionError(f"analytic_radius must be >= 1, got {analytic_radius!r}")
     if not np.all(np.isfinite(coeffs)):
         raise PreconditionError("coeffs must be finite")
     taylor = np.zeros(sample_count // 2, dtype=complex)
     taylor[: coeffs.size] = coeffs
-    return _from_coefficients(taylor, analytic_radius)
+    return BoundaryFunction(taylor, analytic_radius)
 
 
 def from_samples(samples, analytic_radius: float = 1.0, *, scale_floor: float = 0.0) -> BoundaryFunction:
@@ -202,14 +229,10 @@ def from_samples(samples, analytic_radius: float = 1.0, *, scale_floor: float = 
     `scale_floor`, whichever is larger -- callers producing small results
     from large inputs pass the input scale so roundoff junk is judged
     against it; non-finite samples fail). The certified-analytic part is
-    kept: the stored samples are resynthesized from bins 0..M/2-1.
+    kept: the stored coefficients are bins 0..M/2-1.
     """
-    arr = np.asarray(samples, dtype=complex)
-    if arr.ndim != 1:
-        raise PreconditionError("samples must be a 1-d sequence")
-    _validate_sample_count(arr.size)
-    spectrum = _analyze(arr)
-    scale = max(float(np.max(np.abs(arr))) if arr.size else 0.0, float(scale_floor))
+    arr, spectrum = _analyze(samples)
+    scale = max(float(np.max(np.abs(arr))), float(scale_floor))
     negative = spectrum[arr.size // 2 :]
     worst = float(np.max(np.abs(negative)))
     if not worst <= ANALYTICITY_RTOL * scale:
@@ -219,31 +242,24 @@ def from_samples(samples, analytic_radius: float = 1.0, *, scale_floor: float = 
             f"exceeds {ANALYTICITY_RTOL:.0e} * scale {scale:.3e}; "
             "increase sample_count or check that the input is analytic"
         )
-    return _from_coefficients(spectrum[: arr.size // 2], analytic_radius)
+    return BoundaryFunction(spectrum[: arr.size // 2], analytic_radius)
 
 
 def riesz_project(samples) -> BoundaryFunction:
     """Project raw boundary samples onto the analytic part.
 
-    Fourier-transform, zero the negative-frequency bins, transform back.
+    Fourier-transform and keep the nonnegative-frequency bins 0..M/2-1.
     Accepts any sample vector; the result has analytic_radius 1 (boundary
     only).
     """
-    arr = np.asarray(samples, dtype=complex)
-    if arr.ndim != 1:
-        raise PreconditionError("samples must be a 1-d sequence")
-    _validate_sample_count(arr.size)
-    return _from_coefficients(_analyze(arr)[: arr.size // 2], 1.0)
+    arr, spectrum = _analyze(samples)
+    return BoundaryFunction(spectrum[: arr.size // 2], 1.0)
 
 
 def eval_inside(f: BoundaryFunction, z) -> complex:
-    """Evaluate f at an interior point by Horner summation of the Taylor series.
-
-    Agrees with the discrete Cauchy pairing <f, k_z> because the stored
-    function is analytic.
-    """
-    zval = point_value(z)
-    return complex(np.polynomial.polynomial.polyval(zval, f.taylor))
+    """Evaluate f at an interior point: b_0 of the deflation of its Taylor
+    coefficients at z, the value the Toeplitz step reports bit for bit."""
+    return complex(deflate(f.taylor, point_value(z))[0])
 
 
 def samples_at_radius(f: BoundaryFunction, r) -> np.ndarray:
@@ -259,10 +275,10 @@ def samples_at_radius(f: BoundaryFunction, r) -> np.ndarray:
 def dilate(f: BoundaryFunction, r: float) -> BoundaryFunction:
     """The dilation z -> f(r z), valid for 0 < r <= f.analytic_radius.
 
-    Coefficients are scaled by r^k and the samples resynthesized. Expanding
-    (r > 1) amplifies the coefficient tail; if the tail holds roundoff noise
-    rather than genuine decay the scaled values overflow, which is reported
-    instead of returning garbage.
+    Coefficients are scaled by r^k. Expanding (r > 1) amplifies the
+    coefficient tail; if the tail holds roundoff noise rather than genuine
+    decay the scaled values overflow, which is reported instead of returning
+    garbage.
     """
     r = float(r)
     if not 0.0 < r <= f.analytic_radius:
@@ -281,7 +297,7 @@ def dilate(f: BoundaryFunction, r: float) -> BoundaryFunction:
             f"dilation by {r:g} overflowed the coefficient tail; the declared "
             f"analytic_radius {f.analytic_radius:g} is not supported by the stored coefficients"
         )
-    return _from_coefficients(scaled, f.analytic_radius / r)
+    return BoundaryFunction(scaled, f.analytic_radius / r)
 
 
 def pairing(f, g) -> complex:

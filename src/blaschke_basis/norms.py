@@ -128,21 +128,20 @@ class NormSpec:
 
     def from_values(self, boundary: np.ndarray, rings: np.ndarray | None = None) -> float:
         """The norm from a function's boundary samples, and for Bergman from
-        its values or their moduli on the `ring_radii` circles (one row per
-        radius; only |f| enters): trapezoid in angle, Gauss radially. A
-        p = inf norm is the sup over the disk, on the boundary by the maximum
-        principle."""
+        its squared moduli |f|^2 on the `ring_radii` circles (one row per
+        radius): trapezoid in angle, Gauss radially. A p = inf norm is the
+        sup over the disk, on the boundary by the maximum principle."""
         if self.kind == "sup" or self.p == math.inf:
             return float(np.max(np.abs(boundary)))
         if self.kind == "bergman":
             weights = bergman_radial_rule(self.alpha, self.radial_nodes)[1]
-            angular_means = np.mean(np.abs(rings) ** self.p, axis=1)
+            angular_means = np.mean(rings ** (self.p / 2.0), axis=1)
             return float(np.dot(weights, angular_means) ** (1.0 / self.p))
         return float(np.mean(np.abs(boundary) ** self.p) ** (1.0 / self.p))
 
     def evaluate(self, f: BoundaryFunction) -> float:
         radii = self.ring_radii
-        rings = None if radii is None else samples_at_radius(f, radii)
+        rings = None if radii is None else np.abs(samples_at_radius(f, radii)) ** 2
         return self.from_values(f.samples, rings)
 
 

@@ -227,14 +227,14 @@ class ConvergenceTable:
 
 
 class _RingModuli:
-    """|R_n| = |shift + h_n| * |B_n| on the circles of one Bergman radial
-    rule, one chain step at a time.
+    """|R_n|^2 = |shift + h_n|^2 * |B_n|^2 on the circles of one Bergman
+    radial rule, one chain step at a time.
 
     What does not depend on h_n is set up once per call: the power table
     r_i^k, one spectrum buffer the inverse FFT overwrites in place, the
     moduli buffer, and the running |B_n|^2 on the ring points. `step` must
-    be called for n = 0, 1, ... in order; it returns one row of moduli per
-    radius, overwritten by the next step.
+    be called for n = 0, 1, ... in order; it returns one row of squared
+    moduli per radius, overwritten by the next step.
     """
 
     def __init__(self, radii: np.ndarray, points: np.ndarray, sample_count: int):
@@ -252,11 +252,10 @@ class _RingModuli:
         # unnormalized inverse, in place: values[k] = sum_n a_n r^n omega^(n k)
         np.fft.ifft(self.values, norm="forward", out=self.values)
         self.values += shift
-        # |R_n| = sqrt(|shift + h_n|^2 |B_n|^2)
         np.abs(self.values, out=self.moduli)
         self.moduli *= self.moduli
         self.moduli *= next(self.products)
-        return np.sqrt(self.moduli, out=self.moduli)
+        return self.moduli
 
 
 def convergence_study(
@@ -282,7 +281,7 @@ def convergence_study(
     labels = ["sup"] + [s.label for s in extra_specs]
     columns: dict[str, list[float]] = {label: [] for label in labels}
 
-    # Bergman columns need |R_n| = |shift + h_n| * |B_n| on interior circles.
+    # Bergman columns need |R_n|^2 = |shift + h_n|^2 * |B_n|^2 on interior circles.
     # The first factor comes from the iterate's coefficients, scaled by a
     # power table r^k built once per call and synthesized by one in-place
     # inverse FFT per step; the second from the closed-form factor moduli of

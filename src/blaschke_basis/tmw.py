@@ -30,8 +30,8 @@ from .blaschke import (
     running_products,
 )
 from .errors import PreconditionError
-from .fnspace import BoundaryFunction, from_samples, unit_circle_grid
-from .toeplitz import deflation_value, iterates
+from .fnspace import BoundaryFunction, eval_inside, from_samples, unit_circle_grid
+from .toeplitz import iterates
 
 DEFAULT_TMW_SAMPLE_COUNT = 8192
 
@@ -184,6 +184,8 @@ def lacunary_witness(
         )
     if not 1 <= k_max <= len(seq):
         raise PreconditionError(f"k_max {k_max} outside 1..{len(seq)}")
+    if not math.isfinite(exponent):
+        raise PreconditionError(f"witness exponent must be finite, got {exponent!r}")
     indices = resolve_support(support, k_max)
     coefficients = [float(n) ** (-float(exponent)) for n in indices]
 
@@ -199,7 +201,7 @@ def lacunary_witness(
     h, evaluations = witness_fn, []
     for value, _, h in iterates(witness_fn, points[:-1]):
         evaluations.append(abs(value))
-    evaluations.append(abs(deflation_value(h, points[-1])))
+    evaluations.append(abs(eval_inside(h, points[-1])))
     values = [evaluations[n - 1] for n in indices]
 
     moduli = [abs(seq.points[n - 1]) for n in indices]

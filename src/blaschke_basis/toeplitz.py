@@ -6,11 +6,12 @@ coefficients by zero extraction:
     T f = conj(lambda) f(lambda) + (conj(lambda) z - 1) Q,
     Q = (f - f(lambda)) / (z - lambda).
 
-One backward deflation b_k = a_k + lambda b_{k+1} of the coefficients gives
-both f(lambda) = b_0 and the coefficients b_1, b_2, ... of Q; the pass is
-stable for |lambda| < 1 (Wilkinson, Rounding Errors in Algebraic Processes,
-1963) and maps a polynomial of degree d to one of degree d, so it is exact
-on polynomials and introduces no aliasing. Products of factors act by
+One backward deflation b_k = a_k + lambda b_{k+1} of the coefficients
+(`fnspace.deflate`, also the library's point evaluator) gives both
+f(lambda) = b_0 and the coefficients b_1, b_2, ... of Q; the pass is stable
+for |lambda| < 1 (Wilkinson, Rounding Errors in Algebraic Processes, 1963)
+and maps a polynomial of degree d to one of degree d, so it is exact on
+polynomials and introduces no aliasing. Products of factors act by
 walking the chain of single-factor steps in `iterates`, the one loop over
 the recurrence.
 
@@ -32,6 +33,7 @@ from .errors import AnalyticityError, PreconditionError
 from .fnspace import (
     ANALYTICITY_RTOL,
     BoundaryFunction,
+    deflate,
     dilate,
     from_taylor,
     point_value,
@@ -39,25 +41,6 @@ from .fnspace import (
     unit_circle_grid,
 )
 from .norms import BoundCheck, hardy_norm, sup_norm
-
-
-def _deflate(coeffs: np.ndarray, lam: complex) -> np.ndarray:
-    """b_k = sum_{j >= k} a_j lambda^(j-k), the backward deflation
-    b_k = a_k + lambda b_{k+1}, by a doubling scan: after the stage with
-    stride s every b_k sums the next 2s coefficients."""
-    b = coeffs.copy()
-    stride, power = 1, lam
-    while stride < b.size:
-        b[:-stride] += power * b[stride:]
-        stride, power = 2 * stride, power * power
-    return b
-
-
-def deflation_value(f: BoundaryFunction, lam) -> complex:
-    """f(lambda) as `zero_extraction_step` reports it, bit for bit (b_0 of
-    the same deflation), without assembling T f: for a chain's last
-    evaluation, whose iterate nothing reads."""
-    return complex(_deflate(f.taylor, point_value(lam))[0])
 
 
 def zero_extraction_step(f: BoundaryFunction, lam) -> tuple[complex, BoundaryFunction]:
@@ -69,7 +52,7 @@ def zero_extraction_step(f: BoundaryFunction, lam) -> tuple[complex, BoundaryFun
     propagated conservatively as min(f.analytic_radius, 1/|lambda|).
     """
     lam = point_value(lam)
-    b = _deflate(f.taylor, lam)
+    b = deflate(f.taylor, lam)
     # Q has coefficients b_1, b_2, ..., so t_k = conj(lambda) b_k - b_{k+1}
     t = np.conj(lam) * b
     t[:-1] -= b[1:]

@@ -173,11 +173,24 @@ class TestMalformedInput:
         ["expand", "--func", "kernel:0.3", "--seq", "harmonic:nan", "--nterms", "4"],
         ["expand", "--func", "kernel:0.3", "--seq", "explicit:[nan,0.2]", "--nterms", "2"],
         ["expand", "--func", "poly:1,nan", "--seq", "harmonic", "--nterms", "4"],
+        ["tmw", "witness", "--kmax", "8", "--exponent", "nan", "--seq", "harmonic-shifted"],
+        ["tmw", "witness", "--kmax", "8", "--exponent=-inf", "--seq", "harmonic-shifted"],
+        ["tmw", "witness", "--kmax", "8", "--exponent=inf", "--seq", "harmonic-shifted"],
     ], ids=["samples-zero", "support-not-integer", "bergman-zero-nodes",
             "bergman-negative-nodes", "kernel-nan", "harmonic-nan", "explicit-nan",
-            "poly-nan"])
+            "poly-nan", "exponent-nan", "exponent-minus-inf", "exponent-inf"])
     def test_rejected_as_usage_error(self, tmp_path, argv):
         assert run_cli(*argv, "--out", str(tmp_path / "no.out")) == 2
+
+    @pytest.mark.parametrize("count", [4096.7, 4096.0, "4096"])
+    def test_non_integer_file_sample_count_rejected(self, tmp_path, capsys, count):
+        fpath = tmp_path / "func.json"
+        fpath.write_text(json.dumps(
+            {"sample_count": count, "analytic_radius": 2.0, "taylor": [[1.0, 0.0]]}))
+        code = run_cli("expand", "--func", f"file:{fpath}", "--seq", "harmonic-shifted",
+                       "--nterms", "4", "--out", str(tmp_path / "no.out"))
+        assert code == 2
+        assert "sample_count must be an integer" in capsys.readouterr().err
 
 
 class TestSelftest:

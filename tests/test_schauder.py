@@ -288,18 +288,24 @@ def test_expansion_result_serialization():
     assert len(obj["residual_sup_norms"]) == 4
 
 
-def test_degradation_reports_step():
-    # the public constructors keep samples and coefficients consistent; a
-    # hand-built function whose samples disagree with its coefficients runs
-    # the coefficient chain cleanly but fails the grid cross-check of the
-    # telescoped identity (drift 1.0 against 1e-8 * sup|f| = 2e-8)
-    from blaschke_basis import BoundaryFunction
+def test_degradation_reports_step(monkeypatch):
+    # the coefficient chain is cross-checked against grid running products;
+    # a product stream that disagrees with the chain in one grid value (B_0
+    # off by 1 at one sample) fails the telescoped identity, with drift
+    # |c_0| = 1.5 against 1e-8 * sup|f| = 2e-8
+    from blaschke_basis import schauder
 
-    grid = unit_circle_grid(64)
-    samples = 1.0 / (1.0 - 0.5 * np.conj(grid))  # conjugate-kernel: not analytic
-    taylor = np.zeros(32, dtype=complex)
-    taylor[0] = 1.0
-    franken = BoundaryFunction(samples, taylor, 64, 1.0)
+    running_products = schauder.running_products
+
+    def perturbed(zeros, z):
+        for n, product in enumerate(running_products(zeros, z)):
+            if n == 0:
+                product = product.copy()
+                product[5] += 1.0
+            yield product
+
+    monkeypatch.setattr(schauder, "running_products", perturbed)
+    f = cauchy_kernel(0.5, 64)
     seq = make_sequence("harmonic-shifted", 4)
     with pytest.raises(AnalyticityError, match="telescoping drift"):
-        expansion_coefficients(franken, seq, 4)
+        expansion_coefficients(f, seq, 4)
