@@ -150,7 +150,8 @@ def blaschke_factor(lam, z) -> complex | np.ndarray:
         raise AnalyticityError(
             f"degenerate factor denominator |1 - conj(lambda) z| < {_DENOMINATOR_FLOOR:g}"
         )
-    out = (lam - z) / denom
+    out = lam - z
+    out /= denom  # in place: one grid-sized result, no temporary
     return out if out.ndim else complex(out)
 
 
@@ -166,7 +167,9 @@ def running_products(zeros, z, start=None):
     the TMW elements. Those are products of different lengths over one
     sequence, each factor multiplied into the rows that still need it; a
     generator that stopped rows at different prefixes would have to branch
-    on which caller it serves, so that batched triangle lives in `tmw`.
+    on which caller it serves, so that batched triangle lives in `tmw`. The
+    expansion's identity-gap check forms no product at all: it evaluates
+    sum c_n B_n in nested form, from the last factor back to the first.
     """
     z = np.asarray(z, dtype=complex)
     # the running product replaces `start`, so no earlier product stays alive

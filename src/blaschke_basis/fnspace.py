@@ -19,6 +19,9 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+# numpy defers loading its fft submodule to first use; every command
+# transforms, so load it with the library rather than inside the first call
+import numpy.fft  # noqa: F401
 
 from .errors import AnalyticityError, PreconditionError
 
@@ -85,13 +88,20 @@ def point_value(point) -> complex:
     return DiskPoint(complex(point)).value
 
 
-def _synthesize(taylor: np.ndarray) -> np.ndarray:
+def _synthesize(taylor: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # samples[k] = sum_n taylor[n] * omega^(n k), omega = exp(2 pi i / M),
-    # M = 2 * len(taylor), row by row along the last axis. Padded by hand:
-    # ifft's n= costs more peak memory on the batched ring transform.
-    spectrum = np.zeros(taylor.shape[:-1] + (2 * taylor.shape[-1],), dtype=complex)
-    spectrum[..., : taylor.shape[-1]] = taylor
-    return np.fft.ifft(spectrum) * spectrum.shape[-1]
+    # M = 2 * len(taylor), row by row along the last axis, written into `out`
+    # (complex, M wide) when given, so a chain can reuse one buffer. Padded
+    # by hand and transformed in place, so the result is the only M-wide
+    # array: ifft's n= costs more peak memory on the batched ring transform.
+    half = taylor.shape[-1]
+    if out is None:
+        out = np.empty(taylor.shape[:-1] + (2 * half,), dtype=complex)
+    out[..., :half] = taylor
+    out[..., half:] = 0.0
+    np.fft.ifft(out, out=out)
+    out *= out.shape[-1]
+    return out
 
 
 def _analyze(samples) -> tuple[np.ndarray, np.ndarray]:
@@ -216,9 +226,13 @@ def from_taylor(
         )
     if not np.all(np.isfinite(coeffs)):
         raise PreconditionError("coeffs must be finite")
-    taylor = np.zeros(sample_count // 2, dtype=complex)
-    taylor[: coeffs.size] = coeffs
-    return BoundaryFunction(taylor, analytic_radius)
+    if coeffs.size < sample_count // 2:
+        padded = np.zeros(sample_count // 2, dtype=complex)
+        padded[: coeffs.size] = coeffs
+        coeffs = padded
+    # the constructor copies, so a full-length input (every chain step's
+    # iterate) is not padded into a second copy first
+    return BoundaryFunction(coeffs, analytic_radius)
 
 
 def from_samples(samples, analytic_radius: float = 1.0, *, scale_floor: float = 0.0) -> BoundaryFunction:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import PreconditionError
 from .fnspace import BoundaryFunction, samples_at_radius
@@ -44,18 +43,65 @@ def hardy_norm(f: BoundaryFunction, p: float) -> float:
     return NormSpec("hardy", p).evaluate(f)
 
 
+def _jacobi_recurrence(x: np.ndarray, diagonal: np.ndarray, off: np.ndarray):
+    """(p_n(x), p_n'(x), sum_{k<n} p_k(x)^2) for the orthonormal polynomials
+    of the recurrence off[k+1] p_{k+1} = (x - diagonal[k]) p_k - off[k] p_{k-1},
+    p_0 = 1, n = diagonal.size."""
+    previous, current = np.zeros_like(x), np.ones_like(x)
+    d_previous, d_current = np.zeros_like(x), np.zeros_like(x)
+    squares = np.zeros_like(x)
+    for k in range(diagonal.size):
+        squares += current * current
+        shifted = x - diagonal[k]
+        previous, current, d_previous, d_current = (
+            current,
+            (shifted * current - off[k] * previous) / off[k + 1],
+            d_current,
+            (shifted * d_current + current - off[k] * d_previous) / off[k + 1],
+        )
+    return current, d_current, squares
+
+
+def gauss_jacobi(nodes: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss nodes x (ascending) and weights on [-1, 1] for the weight
+    (1+x)^alpha, the weights normalized to sum to 1.
+
+    Golub-Welsch (Math. Comp. 1969): the nodes are the eigenvalues of the
+    Jacobi matrix of the orthonormal Jacobi polynomials, polished by two
+    Newton steps on their three-term recurrence (as in Hale & Townsend,
+    SIAM J. Sci. Comput. 2013). Each weight is the Christoffel number
+    1 / sum_{k<n} p_k(x_i)^2, from the same recurrence at the polished
+    node: a sum of squares with no nearby zero, so it stays accurate where
+    formulas through p_{n-1}(x_i) or p_n'(x_i) lose digits to node error.
+    """
+    k = np.arange(1, nodes + 1, dtype=float)
+    s = 2.0 * k + alpha
+    diagonal = np.empty(nodes)
+    diagonal[0] = alpha / (alpha + 2.0)
+    diagonal[1:] = alpha * alpha / (s[:-1] * (s[:-1] + 2.0))
+    # off[k] = sqrt(4 k^2 (k + alpha)^2 / (s^2 (s^2 - 1))), s = 2k + alpha; off[0] unused
+    off = np.concatenate(([0.0], 2.0 * k * (k + alpha) / (s * np.sqrt(s * s - 1.0))))
+    jacobi = np.diag(diagonal) + np.diag(off[1:nodes], 1) + np.diag(off[1:nodes], -1)
+    x = np.linalg.eigvalsh(jacobi)
+    for _ in range(2):
+        value, derivative, _ = _jacobi_recurrence(x, diagonal, off)
+        x = x - value / derivative
+    christoffel = 1.0 / _jacobi_recurrence(x, diagonal, off)[2]
+    return x, christoffel / math.fsum(christoffel)
+
+
 @lru_cache(maxsize=32)
 def bergman_radial_rule(alpha: float, radial_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Radii and weights integrating g -> int_0^1 g(r) (1+a)(1-r^2)^a 2r dr.
 
     Gauss nodes in the variable u = 1 - r^2 with the weight u^alpha absorbed
-    into the rule (plain Gauss-Legendre for alpha = 0), so non-integer alpha
-    costs no accuracy. The arrays are cached and read-only.
+    into the rule (`gauss_jacobi`; plain Gauss-Legendre for alpha = 0), so
+    non-integer alpha costs no accuracy. The weights sum to 1, the measure's
+    mass. The arrays are cached and read-only.
     """
-    x, w = roots_jacobi(radial_nodes, 0.0, alpha)
+    x, weights = gauss_jacobi(radial_nodes, alpha)
     u = (1.0 + x) / 2.0
     radii = np.sqrt(1.0 - u)
-    weights = (1.0 + alpha) * 2.0 ** (-(alpha + 1.0)) * w
     radii.setflags(write=False)
     weights.setflags(write=False)
     return radii, weights

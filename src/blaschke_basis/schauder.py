@@ -12,9 +12,10 @@ with the convention that the n = 0 coefficient is just f(lambda_1) (its
 second term carries the empty product of index -1, taken as 0). Residual
 norms are computed from the closed form for R_N, whose modulus on the
 circle equals |h_N + constant| because |B_N| = 1 there; the drift between
-f - S_N f, summed from grid running products, and the closed form is
-tracked separately as remainder_identity_gap, a cross-check of the
-coefficient chain by a route that shares no arithmetic with it.
+f and S_N f + R_N f, evaluated on the grid in nested form
+c_0 + b_1 (c_1 + b_2 (... + b_N (shift + h_N))), is tracked separately as
+remainder_identity_gap, a cross-check of the coefficient chain by a route
+that shares no arithmetic with it.
 
 Evaluating a candidate expansion at the sequence points yields a lower
 triangular linear system (column j is B_j at the points, zero once the
@@ -28,7 +29,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .blaschke import (
     FiniteBlaschkeProduct,
@@ -44,6 +44,7 @@ from .errors import AnalyticityError, PreconditionError
 from .fnspace import (
     UNBOUNDED_RADIUS,
     BoundaryFunction,
+    _synthesize,
     from_samples,
     unit_circle_grid,
 )
@@ -116,17 +117,22 @@ def expansion_coefficients(
     Coefficients c_0..c_{n_terms-1} come from evaluating consecutive
     Toeplitz iterates at the sequence points; residual sup norms use the
     closed-form remainder. The coefficient chain is cross-checked against
-    the telescoped identity assembled from grid running products, and a
+    the telescoped identity evaluated factor by factor on the grid, and a
     drift beyond IDENTITY_GAP_RTOL * sup|f| is reported.
     """
     _require_expandable(seq, n_terms)
     points = seq.points[:n_terms]
     evals = np.empty(n_terms, dtype=complex)
     residuals = np.empty(n_terms)
+    # shift + h_n on the grid, synthesized as `h.samples` is but into one
+    # buffer that every step reuses
+    tail = np.empty(f.sample_count, dtype=complex)
+    magnitude = np.empty(f.sample_count)
     for n, (value, shift, h) in enumerate(iterates(f, points)):
-        tail = shift + h.samples
+        _synthesize(h.taylor, out=tail)
+        tail += shift
         evals[n] = value
-        residuals[n] = SUP.from_values(tail)
+        residuals[n] = np.max(np.abs(tail, out=magnitude))
 
     coefficients = np.empty(n_terms, dtype=complex)
     coefficients[0] = evals[0]
@@ -134,14 +140,18 @@ def expansion_coefficients(
         coefficients[1:] = evals[1:] - np.conj(points[:-1]) * evals[:-1]
 
     # Drift between the telescoped identity and the closed-form remainder:
-    # the chain works on Taylor coefficients, the products on the grid
-    # samples, so this compares two routes that share no arithmetic.
-    products = running_products(points, unit_circle_grid(f.sample_count))
-    grid_partial = np.zeros(f.sample_count, dtype=complex)
-    for c, product in zip(coefficients, products):  # stops before B_N
-        grid_partial = grid_partial + c * product
-    closed_remainder = tail * next(products)
-    gap = float(np.max(np.abs(f.samples - grid_partial - closed_remainder)))
+    # the chain works on Taylor coefficients, while sum c_n B_n + tail * B_N
+    # is evaluated on the grid in nested form,
+    #     c_0 + b_1 (c_1 + b_2 (c_2 + ... + b_N tail)),
+    # one factor at a time in one accumulator, so the two routes share no
+    # arithmetic.
+    grid = unit_circle_grid(f.sample_count)
+    identity = tail
+    for lam, c in zip(points[::-1], coefficients[::-1]):
+        identity *= blaschke_factor(lam, grid)
+        identity += c
+    identity -= f.samples
+    gap = float(np.max(np.abs(identity, out=magnitude)))
     scale = sup_norm(f)
     if gap > IDENTITY_GAP_RTOL * max(scale, 1e-300):
         raise AnalyticityError(
@@ -207,7 +217,10 @@ def triangular_reconstruct(f_values, seq: PointSequence) -> np.ndarray:
             f"near-singular triangular system (min diagonal {diagonal_floor:.3e}); "
             "sequence points are too close together"
         )
-    return solve_triangular(matrix, values, lower=True)
+    coefficients = np.empty(k, dtype=complex)
+    for i in range(k):  # forward substitution, one row at a time
+        coefficients[i] = (values[i] - matrix[i, :i] @ coefficients[:i]) / matrix[i, i]
+    return coefficients
 
 
 @dataclass(frozen=True, eq=False)

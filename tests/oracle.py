@@ -11,7 +11,9 @@ Everything here runs on `mpmath` numbers and calls nothing of the library:
 - `witness_values` and `functional_norms` are the TMW closed forms
   c_n / sqrt(1 - |lambda_n|^2) and 1 / sqrt(1 - |lambda_n|^2);
 - `squared_product_moduli` multiplies out |B_N(z)|^2 from the factor
-  formula (lambda - z)/(1 - conj(lambda) z).
+  formula (lambda - z)/(1 - conj(lambda) z);
+- `gauss_jacobi_rule` is the Gauss rule for the weight (1+x)^alpha on
+  [-1, 1] from mpmath's own quadrature routine at 40 digits.
 
 Inputs are Python or numpy numbers, taken as exact binary values; outputs are
 mpmath numbers, so callers choose where to round.
@@ -97,3 +99,13 @@ def squared_product_moduli(zeros, points):
                 product *= abs((lam - z) / (1 - mpmath.conj(lam) * z)) ** 2
             out.append(product)
     return out
+
+
+def gauss_jacobi_rule(nodes, alpha):
+    """(x, w): the Gauss nodes for the weight (1+x)^alpha on [-1, 1] in
+    ascending order and their weights, normalized to sum to 1."""
+    with mpmath.workdps(DIGITS):
+        x, w = mpmath.gauss_quadrature(nodes, "jacobi", 0, mpmath.mpf(alpha))
+        total = mpmath.fsum(w)
+        pairs = sorted(zip(x, w))
+        return [p[0] for p in pairs], [p[1] / total for p in pairs]

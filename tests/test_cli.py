@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +14,16 @@ from blaschke_basis.cli import main
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy's import costs most of a CLI call's start-up; the library is numpy only
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (f"import sys; sys.path.insert(0, {src!r}); import blaschke_basis.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 class TestExpand:

@@ -2,9 +2,12 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
+import oracle
 from blaschke_basis import (
     FiniteBlaschkeProduct,
     NormSpec,
@@ -17,6 +20,7 @@ from blaschke_basis import (
     product_as_function,
     sup_norm,
 )
+from blaschke_basis.norms import bergman_radial_rule, gauss_jacobi
 from blaschke_basis.selftest import reference_corpus
 
 M = 2048
@@ -63,6 +67,57 @@ class TestHardyNorm:
             hardy_norm(f, 0.5)
         with pytest.raises(PreconditionError):
             hardy_norm(f, math.inf)
+
+
+RULE_ALPHAS = (-0.9, -0.5, 0.0, 0.5, 1.0, 2.7)
+
+#: |x - x_ref| for the nodes; measured 3.3e-16 against roots_jacobi (at
+#: alpha 2.7, 32 nodes) and 2.2e-16 against the 40-digit rule.
+NODE_BOUND = 4.5e-16
+#: max |w / w_scipy - 1|; measured 5.5e-10 (alpha -0.9, 128 nodes), which is
+#: scipy's own error: its gap to the 40-digit rule there is 5.5e-10, ours 6.4e-13.
+SCIPY_WEIGHT_BOUND = 1e-9
+#: max |w / w_ref - 1| against the 40-digit rule, up to 64 nodes; measured
+#: 2.1e-13 (alpha -0.9, 64 nodes), where roots_jacobi is 9.0e-12 off.
+ORACLE_WEIGHT_BOUND = 6e-13
+#: |sum w u^k / exact - 1| over k <= 2n - 1; measured 7.4e-14.
+EXACTNESS_BOUND = 2e-13
+
+
+class TestRadialRule:
+    @pytest.mark.parametrize("alpha", RULE_ALPHAS)
+    @pytest.mark.parametrize("nodes", (1, 2, 8, 32, 64, 128))
+    def test_matches_roots_jacobi(self, alpha, nodes):
+        x, w = gauss_jacobi(nodes, alpha)
+        x_ref, w_ref = roots_jacobi(nodes, 0.0, alpha)
+        assert np.max(np.abs(x - x_ref)) <= NODE_BOUND
+        assert np.max(np.abs(w / (w_ref / np.sum(w_ref)) - 1.0)) <= SCIPY_WEIGHT_BOUND
+
+    # the 40-digit rule takes about 0.5 s at 64 nodes, so that size runs for
+    # the two extreme weights and the Legendre case only
+    @pytest.mark.parametrize("nodes, alpha", [(n, a) for n in (1, 2, 8, 32) for a in RULE_ALPHAS]
+                             + [(64, a) for a in (-0.9, 0.0, 2.7)])
+    def test_matches_40_digit_rule(self, nodes, alpha):
+        x, w = gauss_jacobi(nodes, alpha)
+        x_ref, w_ref = oracle.gauss_jacobi_rule(nodes, alpha)
+        assert max(abs(x[i] - x_ref[i]) for i in range(nodes)) <= NODE_BOUND
+        assert max(abs(mpmath.mpf(w[i]) / w_ref[i] - 1) for i in range(nodes)) <= ORACLE_WEIGHT_BOUND
+
+    @pytest.mark.parametrize("alpha", RULE_ALPHAS)
+    @pytest.mark.parametrize("nodes", (1, 2, 8, 32, 64, 128))
+    def test_exact_on_polynomials(self, alpha, nodes):
+        # (1+a) int_0^1 u^k u^a du = (1+a) B(k+1, a+1) = (1+a)/(k+1+a), u = (1+x)/2
+        x, w = gauss_jacobi(nodes, alpha)
+        u = (1.0 + x) / 2.0
+        for k in range(2 * nodes):
+            exact = (1.0 + alpha) / (k + 1.0 + alpha)
+            assert abs(math.fsum(w * u**k) / exact - 1.0) <= EXACTNESS_BOUND
+
+    def test_radial_rule_is_cached_and_read_only(self):
+        radii, weights = bergman_radial_rule(0.5, 64)
+        assert bergman_radial_rule(0.5, 64)[0] is radii
+        assert not radii.flags.writeable and not weights.flags.writeable
+        assert math.fsum(weights) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestBergmanNorm:
