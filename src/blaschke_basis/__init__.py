@@ -30,9 +30,8 @@ from .schauder import (
     ExpansionResult,
     convergence_study,
     expansion_coefficients,
-    kernel_remainder_bound,
+    kernel_remainder_bounds,
     partial_sum,
-    remainder_closed_form,
     triangular_reconstruct,
 )
 from .tmw import functional_norm, gram_matrix, lacunary_witness, tmw_element
@@ -40,9 +39,9 @@ from .toeplitz import (
     factor_sup_bound_check,
     dilation_sup_bound_check,
     iterates,
-    toeplitz_factor_apply,
     toeplitz_general_apply,
     toeplitz_product_apply,
+    zero_extraction_step,
 )
 
 __version__ = "0.1.0"
@@ -72,7 +71,7 @@ __all__ = [
     "hardy_norm",
     "iterates",
     "factor_sup_bound_check",
-    "kernel_remainder_bound",
+    "kernel_remainder_bounds",
     "lacunary_witness",
     "dilation_sup_bound_check",
     "make_sequence",
@@ -81,12 +80,11 @@ __all__ = [
     "pointwise_decay_check",
     "product_as_function",
     "product_eval",
-    "remainder_closed_form",
     "riesz_project",
     "sup_norm",
     "tmw_element",
-    "toeplitz_factor_apply",
     "toeplitz_general_apply",
     "toeplitz_product_apply",
     "triangular_reconstruct",
+    "zero_extraction_step",
 ]

@@ -155,10 +155,9 @@ def blaschke_factor(lam, z) -> complex | np.ndarray:
     return out if out.ndim else complex(out)
 
 
-def running_products(zeros, z, start=None):
-    """Yield start * B_0(z), start * B_1(z), ..., start * B_n(z) for the
-    prefixes of `zeros`, multiplying in one factor per step (vectorized over
-    z of any shape; start defaults to 1).
+def running_products(zeros, z):
+    """Yield B_0(z), B_1(z), ..., B_n(z) for the prefixes of `zeros`,
+    multiplying in one factor per step (vectorized over z of any shape).
 
     Every product the library evaluates is formed here or, where only its
     modulus is needed, in `running_squared_moduli` below, one multiplication
@@ -172,13 +171,12 @@ def running_products(zeros, z, start=None):
     sum c_n B_n in nested form, from the last factor back to the first.
     """
     z = np.asarray(z, dtype=complex)
-    # the running product replaces `start`, so no earlier product stays alive
-    if start is None:
-        start = np.ones_like(z)
-    yield start
+    # each step replaces the running product, so no earlier product stays alive
+    product = np.ones_like(z)
+    yield product
     for zero in zeros:
-        start = start * blaschke_factor(zero, z)
-        yield start
+        product = product * blaschke_factor(zero, z)
+        yield product
 
 
 def running_squared_moduli(zeros, z):

@@ -31,12 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blaschke import (
-    FiniteBlaschkeProduct,
     PointSequence,
     SequenceKind,
     blaschke_factor,
     pole_radius,
-    product_eval,
     running_products,
     running_squared_moduli,
 )
@@ -179,17 +177,6 @@ def partial_sum(result: ExpansionResult, n: int, sample_count: int) -> BoundaryF
     return from_samples(total, radius, scale_floor=scale)
 
 
-def remainder_closed_form(f: BoundaryFunction, seq: PointSequence, n: int) -> BoundaryFunction:
-    """The closed-form remainder R_n f after n >= 1 expansion terms."""
-    if n < 1:
-        raise PreconditionError(f"remainder index must be >= 1, got {n}")
-    _require_expandable(seq, n)
-    for _, shift, h in iterates(f, seq.points[:n]):
-        pass
-    product = product_eval(FiniteBlaschkeProduct(seq.points[:n]), unit_circle_grid(f.sample_count))
-    return from_samples((shift + h.samples) * product, h.analytic_radius, scale_floor=sup_norm(f))
-
-
 def triangular_reconstruct(f_values, seq: PointSequence) -> np.ndarray:
     """Recover expansion coefficients from values at the sequence points.
 
@@ -284,10 +271,19 @@ def convergence_study(
     dominated by it with constant EMBEDDING_CONSTANT, each row is checked
     against that domination. With kernel_alpha set (f being the kernel at
     alpha), a final `bound` column records the closed remainder bound
-    (|B_{n-1}(alpha)| + |B_n(alpha)|) / (1 - |alpha|).
+    (|B_{n-1}(alpha)| + |B_n(alpha)|) / (1 - |alpha|). Two specs with one
+    label (hardy:2 and hardy:2.0, or Bergman specs that differ only in
+    radial_nodes) would share a column, so they are rejected.
     """
     _require_expandable(seq, n_max)
     specs = [s if isinstance(s, NormSpec) else NormSpec.parse(s) for s in norm_specs]
+    requested = [s.label for s in specs]
+    repeated = sorted({label for label in requested if requested.count(label) > 1})
+    if repeated:
+        raise PreconditionError(
+            f"norm {', '.join(repeated)} requested more than once; "
+            "each column needs a distinct label"
+        )
     extra_specs = [s for s in specs if s.label != "sup"]
     points = seq.points[:n_max]
 
@@ -324,26 +320,16 @@ def convergence_study(
             columns[spec.label].append(val)
 
     if kernel_alpha is not None:
-        columns["bound"] = list(_kernel_bounds(points, kernel_alpha))
+        columns["bound"] = kernel_remainder_bounds(points, kernel_alpha)
     return ConvergenceTable(list(range(n_max + 1)), columns)
 
 
-def _kernel_bounds(points: np.ndarray, alpha):
-    """Yield (|B_{n-1}(alpha)| + |B_n(alpha)|) / (1 - |alpha|) for
-    n = 0..len(points), the index -1 product counting as 0."""
+def kernel_remainder_bounds(points, alpha) -> list[float]:
+    """(|B_{n-1}(alpha)| + |B_n(alpha)|) / (1 - |alpha|) for n = 0..len(points):
+    the closed bound on the remainder sup norm after n terms when expanding
+    the kernel at alpha, from one running-product pass (the index -1 product
+    counts as 0)."""
     alpha = complex(alpha)
-    previous = 0.0
-    for product in running_products(points, alpha):
-        yield (previous + abs(product)) / (1.0 - abs(alpha))
-        previous = abs(product)
-
-
-def kernel_remainder_bound(seq: PointSequence, alpha, n: int) -> float:
-    """(|B_{n-1}(alpha)| + |B_n(alpha)|) / (1 - |alpha|): the closed bound on
-    the remainder sup norm when expanding the kernel at alpha (index -1
-    products count as 0)."""
-    if not 0 <= n <= len(seq):
-        raise PreconditionError(f"index {n} outside 0..{len(seq)}")
-    for bound in _kernel_bounds(seq.points[:n], alpha):
-        pass
-    return float(bound)
+    moduli = [0.0] + [abs(product) for product in running_products(points, alpha)]
+    return [float((previous + current) / (1.0 - abs(alpha)))
+            for previous, current in zip(moduli, moduli[1:])]

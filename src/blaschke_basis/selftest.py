@@ -174,11 +174,8 @@ def check_reconstruction_identity(sample_count: int | None) -> None:
         for lam in lambdas:
             kernel = cauchy_kernel(lam, m)
             b = blaschke.blaschke_factor(lam, grid)
-            applied = toeplitz.toeplitz_factor_apply(f, lam)
-            recon = (
-                (1.0 - abs(lam) ** 2) * eval_inside(f, lam) * kernel.samples
-                + b * applied.samples
-            )
+            value, applied = toeplitz.zero_extraction_step(f, lam)
+            recon = (1.0 - abs(lam) ** 2) * value * kernel.samples + b * applied.samples
             worst = np.max(np.abs(f.samples - recon))
             assert worst <= 1e-10 * scale, (
                 f"{label}: reconstruction residual {worst:.3e} > 1e-10 * {scale:.3e} at lambda={lam}"
@@ -205,7 +202,7 @@ def check_cross_algorithm_agreement(sample_count: int | None) -> None:
     lambdas = reference_lambdas(4, radius=0.85, seed=_CORPUS_SEED + 15)
     for label, f in reference_corpus(m):
         for lam in lambdas:
-            via_recurrence = toeplitz.toeplitz_factor_apply(f, lam)
+            via_recurrence = toeplitz.zero_extraction_step(f, lam)[1]
             via_projection = toeplitz.toeplitz_general_apply(f, blaschke.blaschke_factor(lam, grid))
             worst = np.max(np.abs(via_recurrence.samples - via_projection.samples))
             assert worst <= 1e-9, f"{label}: algorithms disagree by {worst:.3e} at lambda={lam}"
@@ -215,8 +212,8 @@ def check_composition_order(sample_count: int | None) -> None:
     m = sample_count or DEFAULT_SAMPLES
     lam1, lam2 = 0.45 + 0.2j, -0.3 + 0.55j
     for label, f in reference_corpus(m)[:8]:
-        forward = toeplitz.toeplitz_factor_apply(toeplitz.toeplitz_factor_apply(f, lam1), lam2)
-        reverse = toeplitz.toeplitz_factor_apply(toeplitz.toeplitz_factor_apply(f, lam2), lam1)
+        forward = toeplitz.toeplitz_product_apply(f, FiniteBlaschkeProduct([lam1, lam2]))
+        reverse = toeplitz.toeplitz_product_apply(f, FiniteBlaschkeProduct([lam2, lam1]))
         worst = np.max(np.abs(forward.samples - reverse.samples))
         assert worst <= 1e-10, f"{label}: composition order changed result by {worst:.3e}"
 
@@ -296,9 +293,8 @@ def check_kernel_residual_bound(sample_count: int | None) -> None:
     seq = make_sequence("harmonic-shifted", 40)
     alpha = 0.3
     result = schauder.expansion_coefficients(cauchy_kernel(alpha, m), seq, 40)
-    for n in range(1, 41):
-        bound = schauder.kernel_remainder_bound(seq, alpha, n)
-        actual = result.residual_sup_norms[n - 1]
+    bounds = schauder.kernel_remainder_bounds(seq.points[:40], alpha)
+    for n, (actual, bound) in enumerate(zip(result.residual_sup_norms, bounds[1:]), start=1):
         assert actual <= bound + 1e-9, (
             f"residual {actual:.6e} exceeds kernel bound {bound:.6e} at n={n}"
         )
@@ -362,9 +358,10 @@ def check_witness_values(sample_count: int | None) -> None:
         for n in report.support:
             if n == target:
                 continue
-            iterate = tmw.tmw_element(seq, n, m).function
-            for lam in seq.points[: target - 1]:
-                iterate = toeplitz.toeplitz_factor_apply(iterate, lam)
+            element = tmw.tmw_element(seq, n, m).function
+            iterate = toeplitz.toeplitz_product_apply(
+                element, FiniteBlaschkeProduct(seq.points[: target - 1])
+            )
             leak = abs(eval_inside(iterate, seq.points[target - 1]))
             assert leak <= 1e-8, f"cross term n={n} leaks {leak:.3e} at N={target}"
 

@@ -27,7 +27,6 @@ from .blaschke import (
     blaschke_factor,
     cauchy_kernel,
     pole_radius,
-    running_products,
 )
 from .errors import PreconditionError
 from .fnspace import BoundaryFunction, eval_inside, from_samples, unit_circle_grid
@@ -58,8 +57,9 @@ def _element_rows(seq: PointSequence, indices, sample_count: int) -> np.ndarray:
     for row, n in zip(rows, indices):
         lam = seq.points[n - 1]
         row[:] = math.sqrt(1.0 - abs(lam) ** 2) * cauchy_kernel(lam, sample_count).samples
-    for j in range(1, indices[-1]):
-        first = int(np.searchsorted(indices, j, side="right"))
+    # the row to start from for every factor, found in one search
+    firsts = np.searchsorted(indices, np.arange(1, indices[-1]), side="right")
+    for j, first in enumerate(firsts, start=1):
         rows[first:] *= blaschke_factor(seq.points[j - 1], grid)
     return rows
 
@@ -95,20 +95,17 @@ class FunctionalNormComparison:
 def functional_norm(seq: PointSequence, n: int, sample_count: int) -> FunctionalNormComparison:
     """Norm of f -> (iterate over lambda_1..lambda_{n-1} of f)(lambda_n) on H^2.
 
-    Quadrature side: discrete H^2 norm of B_{n-1} k_{lambda_n}; closed form:
+    Quadrature side: discrete H^2 norm of B_{n-1} k_{lambda_n}, which is TMW
+    element n divided by its weight sqrt(1 - |lambda_n|^2); closed form:
     1/sqrt(1 - |lambda_n|^2). The product factor is unimodular on the grid,
     so the two agree up to the kernel's quadrature tail.
     """
     if not 1 <= n <= len(seq):
         raise PreconditionError(f"functional index {n} outside 1..{len(seq)}")
-    lam = seq.points[n - 1]
-    products = running_products(seq.points[: n - 1], unit_circle_grid(sample_count),
-                                cauchy_kernel(lam, sample_count).samples)
-    for samples in products:
-        pass
-    quadrature = float(np.sqrt(np.mean(np.abs(samples) ** 2)))
-    closed = 1.0 / math.sqrt(1.0 - abs(lam) ** 2)
-    return FunctionalNormComparison(quadrature, closed)
+    weight = math.sqrt(1.0 - abs(seq.points[n - 1]) ** 2)
+    element = _element_rows(seq, [n], sample_count)[0]
+    quadrature = float(np.sqrt(np.mean(np.abs(element) ** 2))) / weight
+    return FunctionalNormComparison(quadrature, 1.0 / weight)
 
 
 @dataclass(frozen=True, eq=False)

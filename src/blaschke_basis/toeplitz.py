@@ -74,12 +74,6 @@ def iterates(f: BoundaryFunction, points):
         yield value, -np.conj(lam) * value, h
 
 
-def toeplitz_factor_apply(f: BoundaryFunction, lam) -> BoundaryFunction:
-    """Apply the operator with symbol conj(b_lambda): the iterate of one
-    zero-extraction step on the Taylor coefficients."""
-    return zero_extraction_step(f, lam)[1]
-
-
 def toeplitz_product_apply(f: BoundaryFunction, product: FiniteBlaschkeProduct) -> BoundaryFunction:
     """Apply the operator with symbol conj(B): the last iterate of the chain
     over the zeros in order; the empty product returns f itself."""

@@ -124,6 +124,19 @@ class TestConvergence:
                        "--nterms", "4", "--bound", "kernel", "--out", str(tmp_path / "x.csv"))
         assert code == 2
 
+    def test_repeated_norm_label_is_a_usage_error(self, tmp_path, capsys):
+        # hardy:2 and hardy:2.0 share the label hardy:2, and a Bergman label
+        # drops the radial node count; one shared column would interleave the
+        # rows of two norms
+        out = tmp_path / "dup.csv"
+        for norms, label in (("sup,hardy:2,hardy:2.0", "hardy:2"),
+                             ("bergman:2:0:8,bergman:2:0:64", "bergman:2:0")):
+            code = run_cli("convergence", "--func", "kernel:0.3", "--seq", "harmonic-shifted",
+                           "--nterms", "4", "--norms", norms, "--out", str(out))
+            assert code == 2
+            assert f"norm {label} requested more than once" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_bergman_inf_column_is_the_sup(self, tmp_path):
         out = tmp_path / "inf.csv"
         code = run_cli("convergence", "--func", "poly:2", "--seq", "harmonic", "--nterms", "2",
