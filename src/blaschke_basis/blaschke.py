@@ -160,15 +160,17 @@ def running_products(zeros, z):
     multiplying in one factor per step (vectorized over z of any shape).
 
     Every product the library evaluates is formed here or, where only its
-    modulus is needed, in `running_squared_moduli` below, one multiplication
-    per factor in sequence order; only the independent oracles (triangular
-    reconstruction, the selftest span builder) multiply their own, and so do
-    the TMW elements. Those are products of different lengths over one
-    sequence, each factor multiplied into the rows that still need it; a
-    generator that stopped rows at different prefixes would have to branch
-    on which caller it serves, so that batched triangle lives in `tmw`. The
-    expansion's identity-gap check forms no product at all: it evaluates
-    sum c_n B_n in nested form, from the last factor back to the first.
+    modulus is needed (the Bergman rings, the TMW functional norm), in
+    `running_squared_moduli` below, one multiplication per factor in
+    sequence order; only the independent oracles (triangular reconstruction,
+    the selftest span builder) multiply their own, and so do the TMW
+    elements of the Gram matrix, the witness and `tmw_element`. Those are
+    products of different lengths over one sequence, each factor multiplied
+    into the rows that still need it; a generator that stopped rows at
+    different prefixes would have to branch on which caller it serves, so
+    that batched triangle lives in `tmw`. The expansion's identity-gap check
+    forms no product at all: it evaluates sum c_n B_n in nested form, from
+    the last factor back to the first.
     """
     z = np.asarray(z, dtype=complex)
     # each step replaces the running product, so no earlier product stays alive

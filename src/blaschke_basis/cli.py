@@ -140,7 +140,7 @@ def _cmd_tmw(args) -> int:
             "sample_count": samples,
             "max_identity_deviation": float(np.max(deviation)),
             "max_offdiagonal": float(np.max(off_diagonal)) if args.k > 1 else 0.0,
-            "matrix": [[[float(v.real), float(v.imag)] for v in row] for row in gram],
+            "matrix": gram.view(float).reshape(args.k, args.k, 2).tolist(),
         }
         out = args.out or "gram.json"
     elif args.tmw_command == "functional":

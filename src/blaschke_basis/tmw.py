@@ -12,6 +12,13 @@ term-exactly, growing without bound while sum c_n^2 stays finite.
 The blow-up itself is demonstrated, not proven, at finite scale: the module
 reports monotone growth of the witness values across a finite lacunary
 support rather than asserting a limit.
+
+All three diagnostics work on the M-point grid. The kernel k_lambda is
+sampled in closed form, truncated at the grid bandwidth M/2 like the kernel
+`cauchy_kernel` synthesizes; the elements multiply it by one factor
+evaluation per sequence point. The Gram matrix is one matrix-vector product
+per column, and the functional norm reads only the squared moduli
+|k_lambda|^2 |B_{n-1}|^2.
 """
 
 from __future__ import annotations
@@ -25,8 +32,8 @@ from .blaschke import (
     PointSequence,
     SequenceKind,
     blaschke_factor,
-    cauchy_kernel,
     pole_radius,
+    running_squared_moduli,
 )
 from .errors import PreconditionError
 from .fnspace import BoundaryFunction, eval_inside, from_samples, unit_circle_grid
@@ -44,19 +51,38 @@ class TMWElement:
     sequence: PointSequence
 
 
+def _truncated_kernel(lam, grid: np.ndarray) -> np.ndarray:
+    """Samples on the M-point grid of the kernel k_lambda truncated at the
+    grid bandwidth, sum_{k < M/2} conj(lambda)^k z^k: the function that
+    `cauchy_kernel(lambda, M)` holds.
+
+    At z = omega^j the truncated power z^(M/2) is (-1)^j, so the geometric
+    sum closes to (1 - conj(lambda)^(M/2) (-1)^j) / (1 - conj(lambda) z):
+    one scalar power and one division per sample, no FFT.
+    """
+    w = np.conj(lam)
+    tail = w ** (grid.size // 2)
+    samples = np.empty(grid.size, dtype=complex)
+    samples[0::2] = 1.0 - tail
+    samples[1::2] = 1.0 + tail
+    samples /= 1.0 - w * grid
+    return samples
+
+
 def _element_rows(seq: PointSequence, indices, sample_count: int) -> np.ndarray:
     """Samples of the TMW elements n in `indices` (ascending), one row each.
 
-    Row n starts as sqrt(1 - |lambda_n|^2) k_{lambda_n}; then each factor
-    b_{lambda_j} is evaluated once and multiplied into every row with n > j,
-    in sequence order, so every row is the running product that
-    `running_products` would form for it alone.
+    Row n starts as sqrt(1 - |lambda_n|^2) times the truncated kernel
+    `_truncated_kernel(lambda_n)`; then each factor b_{lambda_j} is evaluated
+    once and multiplied into every row with n > j, in sequence order, so
+    every row is the running product that `running_products` would form for
+    it alone.
     """
     grid = unit_circle_grid(sample_count)
     rows = np.empty((len(indices), sample_count), dtype=complex)
     for row, n in zip(rows, indices):
         lam = seq.points[n - 1]
-        row[:] = math.sqrt(1.0 - abs(lam) ** 2) * cauchy_kernel(lam, sample_count).samples
+        row[:] = math.sqrt(1.0 - abs(lam) ** 2) * _truncated_kernel(lam, grid)
     # the row to start from for every factor, found in one search
     firsts = np.searchsorted(indices, np.arange(1, indices[-1]), side="right")
     for j, first in enumerate(firsts, start=1):
@@ -74,15 +100,22 @@ def tmw_element(seq: PointSequence, n: int, sample_count: int) -> TMWElement:
 
 
 def gram_matrix(seq: PointSequence, k: int, sample_count: int) -> np.ndarray:
-    """Pairwise discrete H^2 inner products of the first k TMW elements."""
+    """Pairwise discrete H^2 inner products of the first k TMW elements,
+    G[i, j] = mean over the grid of e_i conj(e_j).
+
+    Column i on and below the diagonal is one matrix-vector product of the
+    rows i.. with conj(row i); the entries above it are the conjugates. One
+    product of the whole block saves little time and needs a conjugated copy
+    of the rows or BLAS packing buffers on top of them.
+    """
     if not 1 <= k <= len(seq):
         raise PreconditionError(f"Gram size {k} outside 1..{len(seq)}")
     samples = _element_rows(seq, range(1, k + 1), sample_count)
     gram = np.empty((k, k), dtype=complex)
     for i in range(k):
-        for j in range(i, k):
-            gram[i, j] = np.mean(samples[i] * np.conj(samples[j]))
-            gram[j, i] = np.conj(gram[i, j])
+        gram[i:, i] = samples[i:] @ np.conj(samples[i])
+        gram[i, i + 1:] = np.conj(gram[i + 1:, i])
+    gram /= sample_count
     return gram
 
 
@@ -95,17 +128,22 @@ class FunctionalNormComparison:
 def functional_norm(seq: PointSequence, n: int, sample_count: int) -> FunctionalNormComparison:
     """Norm of f -> (iterate over lambda_1..lambda_{n-1} of f)(lambda_n) on H^2.
 
-    Quadrature side: discrete H^2 norm of B_{n-1} k_{lambda_n}, which is TMW
-    element n divided by its weight sqrt(1 - |lambda_n|^2); closed form:
-    1/sqrt(1 - |lambda_n|^2). The product factor is unimodular on the grid,
-    so the two agree up to the kernel's quadrature tail.
+    Quadrature side: discrete H^2 norm of B_{n-1} k_{lambda_n}, the square
+    root of the grid mean of |k_{lambda_n}|^2 |B_{n-1}|^2, with the kernel
+    from `_truncated_kernel` and |B_{n-1}|^2 from `running_squared_moduli`;
+    no complex product is formed. Closed form: 1/sqrt(1 - |lambda_n|^2).
+    The product factor is unimodular on the grid, so the two agree up to
+    the kernel's truncation tail |lambda_n|^M.
     """
     if not 1 <= n <= len(seq):
         raise PreconditionError(f"functional index {n} outside 1..{len(seq)}")
-    weight = math.sqrt(1.0 - abs(seq.points[n - 1]) ** 2)
-    element = _element_rows(seq, [n], sample_count)[0]
-    quadrature = float(np.sqrt(np.mean(np.abs(element) ** 2))) / weight
-    return FunctionalNormComparison(quadrature, 1.0 / weight)
+    lam = seq.points[n - 1]
+    grid = unit_circle_grid(sample_count)
+    for moduli in running_squared_moduli(seq.points[: n - 1], grid):
+        pass
+    moduli *= np.abs(_truncated_kernel(lam, grid)) ** 2
+    quadrature = float(np.sqrt(np.mean(moduli)))
+    return FunctionalNormComparison(quadrature, 1.0 / math.sqrt(1.0 - abs(lam) ** 2))
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,6 +10,9 @@ Everything here runs on `mpmath` numbers and calls nothing of the library:
   T_{conj(B_n)} k_a = conj(B_n(a)) k_a, which needs no chain at all;
 - `witness_values` and `functional_norms` are the TMW closed forms
   c_n / sqrt(1 - |lambda_n|^2) and 1 / sqrt(1 - |lambda_n|^2);
+- `truncated_kernel_samples` sums the Cauchy kernel's Taylor series up to
+  the grid bandwidth M/2 at the exact M-th roots of unity, through the
+  geometric-sum formula;
 - `squared_product_moduli` multiplies out |B_N(z)|^2 from the factor
   formula (lambda - z)/(1 - conj(lambda) z);
 - `gauss_jacobi_rule` is the Gauss rule for the weight (1+x)^alpha on
@@ -88,6 +91,21 @@ def witness_values(support, exponent, points):
     with mpmath.workdps(DIGITS):
         return [mpmath.mpf(n) ** (-mpmath.mpf(exponent)) * norm
                 for n, norm in zip(support, functional_norms(points))]
+
+
+def truncated_kernel_samples(lam, sample_count):
+    """sum_{k < M/2} (conj(lambda) z)^k = (1 - (conj(lambda) z)^(M/2)) /
+    (1 - conj(lambda) z) at z = exp(2 pi i j / M), j = 0..M-1, M =
+    sample_count: the roots are exact, not the rounded grid points."""
+    with mpmath.workdps(DIGITS):
+        w = mpmath.conj(_mp(lam))
+        tail = w ** (sample_count // 2)
+        out = []
+        for j in range(sample_count):
+            # z^(M/2) = exp(pi i j)
+            wz = w * mpmath.expjpi(mpmath.mpf(2 * j) / sample_count)
+            out.append((1 - tail * mpmath.expjpi(j)) / (1 - wz))
+    return out
 
 
 def squared_product_moduli(zeros, points):

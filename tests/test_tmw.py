@@ -18,10 +18,13 @@ from blaschke_basis import (
     tmw_element,
     zero_extraction_step,
 )
+import oracle
 from blaschke_basis import toeplitz
-from blaschke_basis.tmw import resolve_support
+from blaschke_basis.fnspace import unit_circle_grid
+from blaschke_basis.tmw import _element_rows, _truncated_kernel, resolve_support
 
 M = 8192
+EPS = np.finfo(float).eps
 
 
 class TestElements:
@@ -81,23 +84,64 @@ class TestGram:
         assert len(calls) == 15
         monkeypatch.undo()
         # the rows are the products each element would form alone: its
-        # weighted kernel times one factor after another, in sequence order
+        # weighted truncated kernel times one factor after another, in
+        # sequence order
         grid = unit_circle_grid(512)
         rows = []
         for n, lam in enumerate(seq.points, start=1):
-            row = math.sqrt(1.0 - abs(lam) ** 2) * cauchy_kernel(lam, 512).samples
+            row = math.sqrt(1.0 - abs(lam) ** 2) * _truncated_kernel(lam, grid)
             for zero in seq.points[: n - 1]:
                 row = row * blaschke_factor(zero, grid)
             rows.append(row)
+        assert np.array_equal(_element_rows(seq, range(1, 17), 512), np.array(rows))
+        # the Gram sums each column in one BLAS product, in another order
+        # than the per-pair mean (worst gap measured: 6.7e-16)
         for i in range(16):
             for j in range(i, 16):
                 entry = np.mean(rows[i] * np.conj(rows[j]))
-                assert gram[j, i] == np.conj(entry)
+                assert abs(gram[i, j] - entry) <= 1e-15
+                assert gram[j, i] == np.conj(gram[i, j])
+
+    @pytest.mark.parametrize("theta", [0.4, 1.3, 2.9])
+    def test_identity_at_k64(self, theta):
+        # measured max|G - I|: 3.1e-15, 6.3e-15 and 4.9e-15
+        seq = make_sequence(f"harmonic:{theta}", 64)
+        gram = gram_matrix(seq, 64, M)
+        assert np.max(np.abs(gram - np.eye(64))) <= 1e-14
 
     def test_disjoint_zero_sets_orthogonal(self):
         seq = make_sequence("harmonic", 2)
         gram = gram_matrix(seq, 2, M)
         assert abs(gram[0, 1]) <= 1e-8
+
+
+class TestTruncatedKernel:
+    """`_truncated_kernel` samples the kernel truncated at M/2 in closed form."""
+
+    MODULI = [0.3, 0.9, 0.998]
+
+    @pytest.mark.parametrize("m", [512, M])
+    @pytest.mark.parametrize("modulus", MODULI)
+    def test_matches_the_oracle(self, modulus, m):
+        # the helper works at the rounded grid points, whose angles carry a
+        # few units of rounding; a sample's relative condition number with
+        # respect to its point is |lambda|/(1 - |lambda|), so the bound is
+        # 8 eps sup/(1 - |lambda|). Measured worst gaps relative to the sup
+        # over random angles: 6.7e-16 at 0.5, 5.2e-15 at 0.9, 8.1e-14 at 0.998
+        lam = modulus * np.exp(0.7j)
+        expected = np.array([complex(v) for v in oracle.truncated_kernel_samples(lam, m)])
+        got = _truncated_kernel(lam, unit_circle_grid(m))
+        sup = np.max(np.abs(expected))
+        assert np.max(np.abs(got - expected)) <= 8 * EPS * sup / (1.0 - modulus)
+
+    @pytest.mark.parametrize("m", [512, M])
+    @pytest.mark.parametrize("modulus", MODULI)
+    def test_matches_the_synthesized_kernel(self, modulus, m):
+        # measured worst: 7.5e-14 of the sup at 0.998
+        lam = modulus * np.exp(2.1j)
+        expected = cauchy_kernel(lam, m).samples
+        got = _truncated_kernel(lam, unit_circle_grid(m))
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 class TestFunctionalNorm:
@@ -117,6 +161,26 @@ class TestFunctionalNorm:
         seq = make_sequence("harmonic-shifted", 40)
         values = [functional_norm(seq, n, 2048).closed_form for n in range(10, 41)]
         assert all(a < b for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("m", [2048, M])
+    @pytest.mark.parametrize("spec, rel", [
+        ("harmonic", 1e-12),
+        ("harmonic:1.3", 1e-12),
+        # 499 real zeros within 0.01 of z = 1, where the kernel peaks: the
+        # grid points' rounding off the circle moves every factor's modulus
+        # there the same way (measured 1.8e-12; the complex product gave
+        # 9.7e-13)
+        ("harmonic-shifted", 1e-11),
+    ])
+    def test_quadrature_is_the_truncated_kernel_norm(self, spec, rel, m):
+        # |B_{n-1}| = 1 on the circle, so the quadrature is the norm of the
+        # kernel truncated at M/2: sqrt(1 - |lambda|^M)/sqrt(1 - |lambda|^2)
+        # (measured relative gap at most 6.7e-14 on spread-out points)
+        seq = make_sequence(spec, 500)
+        for n in (1, 5, 98, 500):
+            r = abs(seq.points[n - 1])
+            exact = math.sqrt(1.0 - r ** m) / math.sqrt(1.0 - r * r)
+            assert functional_norm(seq, n, m).quadrature == pytest.approx(exact, rel=rel)
 
     def test_quadrature_matches_closed_form_up_to_099(self):
         seq = make_sequence("harmonic-shifted", 98)  # |lambda_98| = 0.99
