@@ -9,6 +9,12 @@ frequencies alias on the grid, so they must be numerically empty for a
 sample vector to count as analytic. Inputs that would genuinely populate
 them are rejected rather than silently aliased.
 
+Each function also records its live length, the coefficients up to the last
+nonzero one; everything past it is an exact zero. Deflation reads only the
+live prefix and synthesis transforms only a power-of-two block that holds
+it, so a polynomial or an underflowed kernel of degree d costs O(d) per
+deflation and a pruned transform per synthesis, on the same M-point grid.
+
 All values are immutable after construction and every operation is a pure
 function of its inputs.
 """
@@ -88,19 +94,38 @@ def point_value(point) -> complex:
     return DiskPoint(complex(point)).value
 
 
-def _synthesize(taylor: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _synthesize(
+    taylor: np.ndarray, out: np.ndarray | None = None, live: int | None = None
+) -> np.ndarray:
     # samples[k] = sum_n taylor[n] * omega^(n k), omega = exp(2 pi i / M),
     # M = 2 * len(taylor), row by row along the last axis, written into `out`
-    # (complex, M wide) when given, so a chain can reuse one buffer. Padded
-    # by hand and transformed in place, so the result is the only M-wide
-    # array: ifft's n= costs more peak memory on the batched ring transform.
+    # (complex, contiguous, M wide) when given, so a chain can reuse one
+    # buffer; `live` says taylor[..., live:] is exactly zero (default: none
+    # of it is known to be).
+    #
+    # The transform is pruned for that zero tail (Markel, "FFT pruning",
+    # 1971): with L the smallest power of two >= max(live, M/4) and s = M/L,
+    # the output index k = m s + r splits the sum into s length-L transforms
+    #     samples[m s + r] = sum_{n<L} (a_n omega^(r n)) exp(2 pi i n m / L),
+    # so the twiddled rows a_n omega^(r n) are written straight into `out`
+    # viewed as its (s, L) transpose and transformed there in place: the
+    # result stays in grid order and is the only M-wide array. The twiddles
+    # are strided slices of the cached grid. Each further row costs one
+    # strided multiply that outweighs the shorter transforms it buys, so the
+    # M/4 floor stops at four rows.
     half = taylor.shape[-1]
+    size = 2 * half
     if out is None:
-        out = np.empty(taylor.shape[:-1] + (2 * half,), dtype=complex)
-    out[..., :half] = taylor
-    out[..., half:] = 0.0
-    np.fft.ifft(out, out=out)
-    out *= out.shape[-1]
+        out = np.empty(taylor.shape[:-1] + (size,), dtype=complex)
+    width = max(half if live is None else live, size // 4)
+    width = 1 << (width - 1).bit_length()
+    rows = out.reshape(out.shape[:-1] + (width, size // width)).swapaxes(-1, -2)
+    grid = unit_circle_grid(size)
+    coeffs = taylor[..., :width]
+    rows[..., 0, :] = coeffs
+    for r in range(1, size // width):
+        np.multiply(coeffs, grid[0 : r * width : r], out=rows[..., r, :])
+    np.fft.ifft(rows, norm="forward", out=rows)
     return out
 
 
@@ -113,6 +138,16 @@ def _analyze(samples) -> tuple[np.ndarray, np.ndarray]:
     return arr, np.fft.fft(arr) / arr.size
 
 
+def _live_length(taylor: np.ndarray, bound: int) -> int:
+    """One past the last nonzero of taylor[:bound], at least 1, given that
+    taylor[bound:] is zero: O(1) when taylor[bound - 1] is nonzero, one scan
+    of the prefix otherwise."""
+    if bound > 1 and not taylor[bound - 1]:
+        nonzero = np.flatnonzero(taylor[:bound])
+        bound = int(nonzero[-1]) + 1 if nonzero.size else 1
+    return bound
+
+
 def deflate(coeffs: np.ndarray, z: complex) -> np.ndarray:
     """b_k = sum_{j >= k} a_j z^(j-k), the backward deflation
     b_k = a_k + z b_{k+1}, by a doubling scan: after the stage with
@@ -120,7 +155,10 @@ def deflate(coeffs: np.ndarray, z: complex) -> np.ndarray:
 
     b_0 is the polynomial's value at z, and b_1, b_2, ... are the
     coefficients of the quotient (f - f(z)) / (w - z); the pass is stable
-    for |z| < 1. The library's only point evaluator.
+    for |z| < 1. The library's only point evaluator. Callers pass a
+    function's live prefix: past the last nonzero a_j every b_k is a sum of
+    exact zeros, so the trimmed pass returns the same b_0..b_{d-1}, bit for
+    bit, as the pass over the zero-padded list.
     """
     b = coeffs.copy()
     stride, power = 1, z
@@ -141,8 +179,9 @@ class BoundaryFunction:
     analytic_radius : declared radius of analyticity (>= 1; 1 means
         boundary-only, so no expanding dilation is allowed)
 
-    The grid size M = `sample_count` and the boundary values `samples` are
-    derived from `taylor`.
+    The grid size M = `sample_count`, the boundary values `samples` and the
+    live length `live_length` (a_k == 0 exactly for k >= live_length, and
+    live_length >= 1) are derived from `taylor`.
     """
 
     taylor: np.ndarray
@@ -153,13 +192,23 @@ class BoundaryFunction:
         if taylor.ndim != 1:
             raise PreconditionError(f"taylor must be 1-d, got shape {taylor.shape}")
         _validate_sample_count(2 * taylor.size)
-        if not self.analytic_radius >= 1.0:
-            raise PreconditionError(
-                f"analytic_radius must be >= 1, got {self.analytic_radius!r}"
-            )
+        self._freeze(taylor, self.analytic_radius, taylor.size)
+
+    @classmethod
+    def _adopt(cls, taylor: np.ndarray, analytic_radius: float, bound: int) -> "BoundaryFunction":
+        """Wrap a fresh complex array of M/2 coefficients that nothing else
+        holds, without the constructor's copy; taylor[bound:] must be zero."""
+        f = object.__new__(cls)
+        f._freeze(taylor, analytic_radius, bound)
+        return f
+
+    def _freeze(self, taylor: np.ndarray, analytic_radius: float, bound: int) -> None:
+        if not analytic_radius >= 1.0:
+            raise PreconditionError(f"analytic_radius must be >= 1, got {analytic_radius!r}")
         taylor.setflags(write=False)
         object.__setattr__(self, "taylor", taylor)
-        object.__setattr__(self, "analytic_radius", float(self.analytic_radius))
+        object.__setattr__(self, "analytic_radius", float(analytic_radius))
+        object.__setattr__(self, "live_length", _live_length(taylor, bound))
 
     @property
     def sample_count(self) -> int:
@@ -172,7 +221,7 @@ class BoundaryFunction:
         first access. The cache is a pure function of the frozen
         coefficients, so concurrent first reads can only store equal
         arrays."""
-        samples = _synthesize(self.taylor)
+        samples = _synthesize(self.taylor, live=self.live_length)
         samples.setflags(write=False)
         return samples
 
@@ -185,12 +234,11 @@ class BoundaryFunction:
     def to_jsonable(self) -> dict:
         """JSON object {sample_count, analytic_radius, taylor} with the
         trailing all-zero part of the coefficient list trimmed."""
-        nonzero = np.nonzero(self.taylor)[0]
-        upto = int(nonzero[-1]) + 1 if nonzero.size else 1
         return {
             "sample_count": self.sample_count,
             "analytic_radius": self.analytic_radius,
-            "taylor": [[float(c.real), float(c.imag)] for c in self.taylor[:upto]],
+            "taylor": [[float(c.real), float(c.imag)]
+                       for c in self.taylor[: self.live_length]],
         }
 
     @classmethod
@@ -224,15 +272,13 @@ def from_taylor(
             f"{coeffs.size} coefficients exceed the aliasing-safe bandwidth "
             f"{sample_count // 2} of sample_count={sample_count}"
         )
-    if not np.all(np.isfinite(coeffs)):
+    if not np.isfinite(coeffs).all():
         raise PreconditionError("coeffs must be finite")
-    if coeffs.size < sample_count // 2:
-        padded = np.zeros(sample_count // 2, dtype=complex)
-        padded[: coeffs.size] = coeffs
-        coeffs = padded
-    # the constructor copies, so a full-length input (every chain step's
-    # iterate) is not padded into a second copy first
-    return BoundaryFunction(coeffs, analytic_radius)
+    # the one copy: padded here and adopted, so the live length is found
+    # from the end of the input rather than by a scan of all M/2 bins
+    padded = np.zeros(sample_count // 2, dtype=complex)
+    padded[: coeffs.size] = coeffs
+    return BoundaryFunction._adopt(padded, analytic_radius, coeffs.size)
 
 
 def from_samples(samples, analytic_radius: float = 1.0, *, scale_floor: float = 0.0) -> BoundaryFunction:
@@ -273,7 +319,7 @@ def riesz_project(samples) -> BoundaryFunction:
 def eval_inside(f: BoundaryFunction, z) -> complex:
     """Evaluate f at an interior point: b_0 of the deflation of its Taylor
     coefficients at z, the value the Toeplitz step reports bit for bit."""
-    return complex(deflate(f.taylor, point_value(z))[0])
+    return complex(deflate(f.taylor[: f.live_length], point_value(z))[0])
 
 
 def samples_at_radius(f: BoundaryFunction, r) -> np.ndarray:
@@ -283,7 +329,7 @@ def samples_at_radius(f: BoundaryFunction, r) -> np.ndarray:
     if not np.all((0.0 <= radii) & (radii <= 1.0)):
         raise PreconditionError(f"radius must lie in [0, 1], got {r!r}")
     weights = np.power(radii[..., None], np.arange(f.taylor.size, dtype=float))
-    return _synthesize(f.taylor * weights)
+    return _synthesize(f.taylor * weights, live=f.live_length)
 
 
 def dilate(f: BoundaryFunction, r: float) -> BoundaryFunction:

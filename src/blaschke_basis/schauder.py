@@ -122,15 +122,18 @@ def expansion_coefficients(
     points = seq.points[:n_terms]
     evals = np.empty(n_terms, dtype=complex)
     residuals = np.empty(n_terms)
-    # shift + h_n on the grid, synthesized as `h.samples` is but into one
-    # buffer that every step reuses
+    # shift + h_n on the grid, synthesized as `h.samples` is (pruned to the
+    # iterate's live length) but into one buffer that every step reuses
     tail = np.empty(f.sample_count, dtype=complex)
     magnitude = np.empty(f.sample_count)
     for n, (value, shift, h) in enumerate(iterates(f, points)):
-        _synthesize(h.taylor, out=tail)
+        _synthesize(h.taylor, out=tail, live=h.live_length)
         tail += shift
         evals[n] = value
         residuals[n] = np.max(np.abs(tail, out=magnitude))
+    # the last iterate lives on in `tail` alone: free its coefficients before
+    # the grid pass below allocates its factor arrays
+    del h
 
     coefficients = np.empty(n_terms, dtype=complex)
     coefficients[0] = evals[0]

@@ -10,8 +10,12 @@ One backward deflation b_k = a_k + lambda b_{k+1} of the coefficients
 (`fnspace.deflate`, also the library's point evaluator) gives both
 f(lambda) = b_0 and the coefficients b_1, b_2, ... of Q; the pass is stable
 for |lambda| < 1 (Wilkinson, Rounding Errors in Algebraic Processes, 1963)
-and maps a polynomial of degree d to one of degree d, so it is exact on
-polynomials and introduces no aliasing. Products of factors act by
+and maps a polynomial of degree d to one of degree at most d, so it is
+exact on polynomials and introduces no aliasing. The step exploits that:
+it deflates only the d live coefficients (past them every b_k is a sum of
+exact zeros, so the result is bitwise that of the full-width pass) and the
+iterate inherits d as the bound of its own live length, so a chain never
+scans or copies the dead tail of its M/2 bins. Products of factors act by
 walking the chain of single-factor steps in `iterates`, the one loop over
 the recurrence.
 
@@ -46,13 +50,14 @@ from .norms import BoundCheck, hardy_norm, sup_norm
 def zero_extraction_step(f: BoundaryFunction, lam) -> tuple[complex, BoundaryFunction]:
     """One step of the recurrence: (f(lambda), T f) for the symbol conj(b_lambda).
 
-    Both come from one deflation of f's Taylor coefficients, so each
-    composition step is self-contained and a polynomial keeps its degree.
-    The result extends analytically past the circle; the radius is
-    propagated conservatively as min(f.analytic_radius, 1/|lambda|).
+    Both come from one deflation of f's live Taylor coefficients, so each
+    composition step is self-contained and a polynomial keeps its degree:
+    T f's live length is at most f's. The result extends analytically past
+    the circle; the radius is propagated conservatively as
+    min(f.analytic_radius, 1/|lambda|).
     """
     lam = point_value(lam)
-    b = deflate(f.taylor, lam)
+    b = deflate(f.taylor[: f.live_length], lam)
     # Q has coefficients b_1, b_2, ..., so t_k = conj(lambda) b_k - b_{k+1}
     t = np.conj(lam) * b
     t[:-1] -= b[1:]

@@ -18,6 +18,7 @@ from blaschke_basis import (
 from blaschke_basis.blaschke import FiniteBlaschkeProduct, product_as_function
 from blaschke_basis.fnspace import (
     BoundaryFunction,
+    _synthesize,
     deflate,
     samples_at_radius,
     unit_circle_grid,
@@ -128,8 +129,9 @@ class TestLayout:
 
         calls = []
         synthesize = fnspace._synthesize
-        monkeypatch.setattr(fnspace, "_synthesize",
-                            lambda taylor: calls.append(1) or synthesize(taylor))
+        monkeypatch.setattr(
+            fnspace, "_synthesize",
+            lambda taylor, **options: calls.append(1) or synthesize(taylor, **options))
         f = cauchy_kernel(0.3, self.M)
         for _, _, h in iterates(f, [0.1, -0.2j, 0.5]):
             pass
@@ -137,6 +139,88 @@ class TestLayout:
         first = h.samples
         assert h.samples is first and not first.flags.writeable
         assert len(calls) == 1
+
+
+class TestLiveLength:
+    """live_length: a_k == 0 exactly for k >= live_length, and live_length >= 1."""
+
+    M = 64
+
+    @pytest.mark.parametrize("build, live", [
+        (lambda m: from_taylor([1, 2j, 3], m), 3),
+        (lambda m: from_taylor([1, 2, 0, 0, 0], m), 2),
+        (lambda m: from_taylor([0, 0, 0], m), 1),
+        (lambda m: from_taylor(np.ones(m // 2), m), 32),
+        (lambda m: BoundaryFunction(np.r_[1.0, 0.0, 5.0, np.zeros(29)], 1.0), 3),
+        (lambda m: BoundaryFunction(np.zeros(32), 1.0), 1),
+        (lambda m: from_samples(unit_circle_grid(m) ** 3), 32),
+        (lambda m: dilate(from_taylor([1, 2, 3], m, analytic_radius=2.0), 1.5), 3),
+    ], ids=["from_taylor", "trailing-zeros", "zero", "full", "constructor",
+            "constructor-zero", "from_samples", "dilate"])
+    def test_every_constructor_records_it(self, build, live):
+        f = build(self.M)
+        assert f.live_length == live
+        assert not np.any(f.taylor[f.live_length:])
+        assert f.to_jsonable()["taylor"] == [[c.real, c.imag] for c in f.taylor[:live]]
+
+    def test_eval_reads_only_the_live_prefix(self):
+        # the value is b_0 of the full-width deflation bit for bit: the dead
+        # tail contributes exact zeros
+        rng = np.random.default_rng(13)
+        for degree in (0, 3, 30):
+            coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+            f = from_taylor(coeffs, 256)
+            for z in (0.0, 0.4 - 0.7j, 0.95):
+                assert eval_inside(f, z) == deflate(f.taylor, z)[0]
+
+
+class TestSynthesize:
+    """The pruned synthesis against numpy's zero-padded length-M inverse FFT."""
+
+    #: Both routes stay within 6e-16 * sum |a_k| of an 80-bit evaluation, but
+    #: their twiddles round differently, so they differ by up to 8.7e-16 *
+    #: sum |a_k| (300 draws with live = 2 at M = 16384; 3.3e-16 from live = 16
+    #: on). Few-term inputs set the bound.
+    RTOL = 1e-15
+
+    @pytest.mark.parametrize("m", [16, 256, 2048, 8192, 16384])
+    def test_matches_zero_padded_ifft(self, m):
+        rng = np.random.default_rng(m)
+        out = np.empty(m, dtype=complex)
+        for live in sorted({1, 2, max(m // 64, 1), m // 8, m // 4 + 1, m // 2}):
+            taylor = np.zeros(m // 2, dtype=complex)
+            taylor[:live] = rng.standard_normal(live) + 1j * rng.standard_normal(live)
+            padded = np.zeros(m, dtype=complex)
+            padded[: m // 2] = taylor
+            expected = np.fft.ifft(padded) * m
+            bound = self.RTOL * np.sum(np.abs(taylor))
+            assert np.max(np.abs(_synthesize(taylor, live=live) - expected)) <= bound
+            assert _synthesize(taylor, out=out, live=live) is out
+            assert np.max(np.abs(out - expected)) <= bound
+            # no live length given: the full band
+            assert np.max(np.abs(_synthesize(taylor) - expected)) <= bound
+
+    def test_rows(self):
+        rng = np.random.default_rng(17)
+        m, live = 256, 20
+        taylor = np.zeros((3, m // 2), dtype=complex)
+        taylor[:, :live] = rng.standard_normal((3, live)) + 1j * rng.standard_normal((3, live))
+        expected = np.fft.ifft(np.concatenate([taylor, np.zeros_like(taylor)], axis=1)) * m
+        assert np.max(np.abs(_synthesize(taylor, live=live) - expected)) <= (
+            self.RTOL * np.max(np.sum(np.abs(taylor), axis=1)))
+
+    def test_samples_at_radius_rows(self):
+        f = from_taylor([1, 0.5j, -0.25, 0.125], 256)
+        radii = np.array([0.0, 0.3, 0.7, 1.0])
+        rings = samples_at_radius(f, radii)
+        assert rings.shape == (4, 256)
+        grid = unit_circle_grid(256)
+        for r, row in zip(radii, rings):
+            assert np.array_equal(row, samples_at_radius(f, r))
+            points = r * grid[[0, 31, 200]]
+            exact = [1 + 0.5j * z - 0.25 * z**2 + 0.125 * z**3 for z in points]
+            assert np.max(np.abs(row[[0, 31, 200]] - exact)) <= 1e-15
+        assert np.max(np.abs(rings[-1] - f.samples)) <= 1e-15
 
 
 class TestEvalInside:

@@ -325,6 +325,27 @@ def test_residuals_bitwise_equal_to_iterate_samples():
         assert expansion_coefficients(f, seq, 40).residual_sup_norms.tolist() == expected
 
 
+def test_expansion_peak_memory_is_a_few_grid_vectors():
+    # the chain holds one iterate, one synthesis buffer and one moduli buffer,
+    # and the identity pass a few factor arrays: the traced peak at M = 8192,
+    # N = 500 is 4.7 complex grid vectors (16 M bytes each) with the grid
+    # built inside the call, against 5.2 before the chain kept only the live
+    # coefficients. Kept iterates or per-step grid arrays would break the bound.
+    import tracemalloc
+
+    m = 8192
+    f = cauchy_kernel(0.3, m)
+    seq = make_sequence("harmonic:1.7", 500)
+    unit_circle_grid.cache_clear()
+    tracemalloc.start()
+    try:
+        expansion_coefficients(f, seq, 500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 16 * m
+
+
 def test_degradation_reports_step(monkeypatch):
     # the coefficient chain is cross-checked against the telescoped identity,
     # evaluated on the grid one Blaschke factor at a time; a factor that

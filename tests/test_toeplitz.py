@@ -19,10 +19,29 @@ from blaschke_basis import (
     toeplitz_product_apply,
     zero_extraction_step,
 )
-from blaschke_basis.fnspace import eval_inside, unit_circle_grid
+from blaschke_basis.blaschke import make_sequence
+from blaschke_basis.fnspace import BoundaryFunction, deflate, eval_inside, unit_circle_grid
 from blaschke_basis.selftest import reference_corpus, reference_lambdas
 
 M = 2048
+
+
+def full_width_step(taylor, lam):
+    """The step over all M/2 coefficients, dead tail included: the reference
+    the live-prefix step must match bit for bit."""
+    b = deflate(taylor, lam)
+    t = np.conj(lam) * b
+    t[:-1] -= b[1:]
+    return b[0], t
+
+
+def contract_file_function():
+    """The `file:` input of tools/cli_contract.py: 40 complex coefficients
+    0.6^k + 0.3i (-0.5)^k on M = 4096, radius 1.6."""
+    k = np.arange(40)
+    pairs = np.stack([0.6**k, 0.3 * (-0.5) ** k], axis=1).tolist()
+    return BoundaryFunction.from_jsonable(
+        {"sample_count": 4096, "analytic_radius": 1.6, "taylor": pairs})
 
 
 class TestFactorApply:
@@ -101,6 +120,62 @@ class TestIterates:
         points = reference_lambdas(40, radius=0.95)
         for _, _, h in iterates(f, points):
             assert not np.any(h.taylor[degree + 1:])
+
+
+class TestLiveLength:
+    """The chain deflates and copies only the live prefix, the coefficients
+    up to the last nonzero one; the dead tail is exact zeros."""
+
+    @staticmethod
+    def zero_tailed_inputs():
+        rng = np.random.default_rng(31)
+        yield "kernel:0.3@8192", cauchy_kernel(0.3, 8192)
+        for degree in (0, 1, 5, 17, 40, 64):
+            coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+            yield f"poly-degree-{degree}", from_taylor(coeffs, M)
+        yield "contract-file", contract_file_function()
+
+    def test_steps_bitwise_equal_full_width_deflation(self):
+        points = reference_lambdas(60, radius=0.95)
+        for label, f in self.zero_tailed_inputs():
+            assert f.live_length < f.taylor.size, label
+            previous = f
+            for lam, (value, _, h) in zip(points, iterates(f, points), strict=True):
+                expected_value, expected = full_width_step(previous.taylor, lam)
+                assert value == expected_value, label
+                assert np.array_equal(h.taylor, expected), label
+                previous = h
+
+    def test_full_band_input_goes_through(self):
+        f = cauchy_kernel(0.95, 256)
+        assert f.live_length == f.taylor.size
+        points = reference_lambdas(30, radius=0.9)
+        previous = f
+        for lam, (value, _, h) in zip(points, iterates(f, points), strict=True):
+            expected_value, expected = full_width_step(previous.taylor, lam)
+            assert value == expected_value
+            assert np.array_equal(h.taylor, expected)
+            previous = h
+
+    def test_live_length_never_grows_along_the_chain(self):
+        f = cauchy_kernel(0.3, 8192)
+        live = f.live_length
+        assert 0 < live < f.taylor.size
+        for _, _, h in iterates(f, make_sequence("harmonic:1.7", 500).points):
+            assert h.live_length <= live
+            # the recorded length is exact: zeros past it, nonzero at its end
+            assert not np.any(h.taylor[h.live_length:])
+            assert h.taylor[h.live_length - 1] != 0
+            live = h.live_length
+
+    def test_degree_drops_are_recorded(self):
+        # at lambda = 0 the step is minus the backward shift, so the degree
+        # falls by one per step until only the zero function is left
+        f = from_taylor([1.0, 2.0, 3.0], M)
+        lengths = [h.live_length for _, _, h in iterates(f, [0.0, 0.0, 0.0])]
+        assert lengths == [2, 1, 1]
+        _, _, h = list(iterates(f, [0.0, 0.0, 0.0]))[-1]
+        assert not np.any(h.taylor)
 
 
 class TestProductApply:
