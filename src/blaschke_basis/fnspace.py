@@ -94,14 +94,11 @@ def point_value(point) -> complex:
     return DiskPoint(complex(point)).value
 
 
-def _synthesize(
-    taylor: np.ndarray, out: np.ndarray | None = None, live: int | None = None
-) -> np.ndarray:
+def _synthesize(taylor: np.ndarray, live: int, out: np.ndarray | None = None) -> np.ndarray:
     # samples[k] = sum_n taylor[n] * omega^(n k), omega = exp(2 pi i / M),
-    # M = 2 * len(taylor), row by row along the last axis, written into `out`
-    # (complex, contiguous, M wide) when given, so a chain can reuse one
-    # buffer; `live` says taylor[..., live:] is exactly zero (default: none
-    # of it is known to be).
+    # M = 2 * len(taylor), row by row along the last axis, given that
+    # taylor[..., live:] is exactly zero; written into `out` (complex,
+    # contiguous, M wide) when given, so a chain can reuse one buffer.
     #
     # The transform is pruned for that zero tail (Markel, "FFT pruning",
     # 1971): with L the smallest power of two >= max(live, M/4) and s = M/L,
@@ -117,7 +114,7 @@ def _synthesize(
     size = 2 * half
     if out is None:
         out = np.empty(taylor.shape[:-1] + (size,), dtype=complex)
-    width = max(half if live is None else live, size // 4)
+    width = max(live, size // 4)
     width = 1 << (width - 1).bit_length()
     rows = out.reshape(out.shape[:-1] + (width, size // width)).swapaxes(-1, -2)
     grid = unit_circle_grid(size)
@@ -221,7 +218,7 @@ class BoundaryFunction:
         first access. The cache is a pure function of the frozen
         coefficients, so concurrent first reads can only store equal
         arrays."""
-        samples = _synthesize(self.taylor, live=self.live_length)
+        samples = _synthesize(self.taylor, self.live_length)
         samples.setflags(write=False)
         return samples
 
@@ -329,7 +326,7 @@ def samples_at_radius(f: BoundaryFunction, r) -> np.ndarray:
     if not np.all((0.0 <= radii) & (radii <= 1.0)):
         raise PreconditionError(f"radius must lie in [0, 1], got {r!r}")
     weights = np.power(radii[..., None], np.arange(f.taylor.size, dtype=float))
-    return _synthesize(f.taylor * weights, live=f.live_length)
+    return _synthesize(f.taylor * weights, f.live_length)
 
 
 def dilate(f: BoundaryFunction, r: float) -> BoundaryFunction:

@@ -127,7 +127,7 @@ def expansion_coefficients(
     tail = np.empty(f.sample_count, dtype=complex)
     magnitude = np.empty(f.sample_count)
     for n, (value, shift, h) in enumerate(iterates(f, points)):
-        _synthesize(h.taylor, out=tail, live=h.live_length)
+        _synthesize(h.taylor, h.live_length, out=tail)
         tail += shift
         evals[n] = value
         residuals[n] = np.max(np.abs(tail, out=magnitude))
