@@ -35,6 +35,11 @@ def full_width_step(taylor, lam):
     return b[0], t
 
 
+def random_polynomial(degree):
+    rng = np.random.default_rng(31 + degree)
+    return from_taylor(rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1), M)
+
+
 def contract_file_function():
     """The `file:` input of tools/cli_contract.py: 40 complex coefficients
     0.6^k + 0.3i (-0.5)^k on M = 4096, radius 1.6."""
@@ -126,30 +131,17 @@ class TestLiveLength:
     """The chain deflates and copies only the live prefix, the coefficients
     up to the last nonzero one; the dead tail is exact zeros."""
 
-    @staticmethod
-    def zero_tailed_inputs():
-        rng = np.random.default_rng(31)
-        yield "kernel:0.3@8192", cauchy_kernel(0.3, 8192)
-        for degree in (0, 1, 5, 17, 40, 64):
-            coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
-            yield f"poly-degree-{degree}", from_taylor(coeffs, M)
-        yield "contract-file", contract_file_function()
-
-    def test_steps_bitwise_equal_full_width_deflation(self):
+    @pytest.mark.parametrize("build, full_band", [
+        (lambda: cauchy_kernel(0.3, 8192), False),
+        *[(lambda d=d: random_polynomial(d), False) for d in (0, 1, 5, 17, 40, 64)],
+        (contract_file_function, False),
+        (lambda: cauchy_kernel(0.95, 256), True),
+    ], ids=["kernel:0.3@8192", *[f"poly-degree-{d}" for d in (0, 1, 5, 17, 40, 64)],
+            "contract-file", "full-band-kernel:0.95@256"])
+    def test_steps_bitwise_equal_full_width_deflation(self, build, full_band):
+        f = build()
+        assert (f.live_length == f.taylor.size) == full_band
         points = reference_lambdas(60, radius=0.95)
-        for label, f in self.zero_tailed_inputs():
-            assert f.live_length < f.taylor.size, label
-            previous = f
-            for lam, (value, _, h) in zip(points, iterates(f, points), strict=True):
-                expected_value, expected = full_width_step(previous.taylor, lam)
-                assert value == expected_value, label
-                assert np.array_equal(h.taylor, expected), label
-                previous = h
-
-    def test_full_band_input_goes_through(self):
-        f = cauchy_kernel(0.95, 256)
-        assert f.live_length == f.taylor.size
-        points = reference_lambdas(30, radius=0.9)
         previous = f
         for lam, (value, _, h) in zip(points, iterates(f, points), strict=True):
             expected_value, expected = full_width_step(previous.taylor, lam)
