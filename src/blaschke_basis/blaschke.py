@@ -169,8 +169,8 @@ def running_products(zeros, z):
     into the rows that still need it; a generator that stopped rows at
     different prefixes would have to branch on which caller it serves, so
     that batched triangle lives in `tmw`. The expansion's identity-gap check
-    forms no product at all: it evaluates sum c_n B_n in nested form, from
-    the last factor back to the first.
+    and partial sums form no product at all: they evaluate sum c_n B_n in
+    nested form, from the last factor back to the first.
     """
     z = np.asarray(z, dtype=complex)
     # each step replaces the running product, so no earlier product stays alive

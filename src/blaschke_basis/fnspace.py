@@ -319,42 +319,32 @@ def eval_inside(f: BoundaryFunction, z) -> complex:
     return complex(deflate(f.taylor[: f.live_length], point_value(z))[0])
 
 
-def samples_at_radius(f: BoundaryFunction, r) -> np.ndarray:
-    """Values f(r * omega^k) on the circle of radius r <= 1; an array of
-    radii gives one row of M values per radius, from one batched transform."""
-    radii = np.asarray(r, dtype=float)
-    if not np.all((0.0 <= radii) & (radii <= 1.0)):
-        raise PreconditionError(f"radius must lie in [0, 1], got {r!r}")
-    weights = np.power(radii[..., None], np.arange(f.taylor.size, dtype=float))
-    return _synthesize(f.taylor * weights, f.live_length)
-
-
 def dilate(f: BoundaryFunction, r: float) -> BoundaryFunction:
-    """The dilation z -> f(r z), valid for 0 < r <= f.analytic_radius.
+    """The dilation z -> f(r z), valid for 0 <= r <= f.analytic_radius.
 
-    Coefficients are scaled by r^k. Expanding (r > 1) amplifies the
-    coefficient tail; if the tail holds roundoff noise rather than genuine
-    decay the scaled values overflow, which is reported instead of returning
-    garbage.
+    The library's one coefficient scaling: the live a_k times r^k (the
+    Bergman norms read their circles through it). Expanding (r > 1)
+    amplifies the coefficient tail; if the tail holds roundoff noise rather
+    than genuine decay the scaled values overflow, which is reported instead
+    of returning garbage.
     """
     r = float(r)
-    if not 0.0 < r <= f.analytic_radius:
+    if not 0.0 <= r <= f.analytic_radius:
         raise PreconditionError(
-            f"dilation factor {r!r} outside (0, analytic_radius={f.analytic_radius:g}]"
+            f"dilation factor {r!r} outside [0, analytic_radius={f.analytic_radius:g}]"
         )
     if r == 1.0:
         return f
+    live = f.live_length
     scaled = np.zeros(f.taylor.size, dtype=complex)
-    nonzero = f.taylor != 0
     with np.errstate(over="ignore", invalid="ignore"):
-        weights = np.power(r, np.arange(f.taylor.size, dtype=float)[nonzero])
-        scaled[nonzero] = f.taylor[nonzero] * weights
-    if not np.all(np.isfinite(scaled)):
+        scaled[:live] = f.taylor[:live] * np.power(r, np.arange(live, dtype=float))
+    if not np.all(np.isfinite(scaled[:live])):
         raise AnalyticityError(
             f"dilation by {r:g} overflowed the coefficient tail; the declared "
             f"analytic_radius {f.analytic_radius:g} is not supported by the stored coefficients"
         )
-    return BoundaryFunction(scaled, f.analytic_radius / r)
+    return BoundaryFunction._adopt(scaled, f.analytic_radius / r if r else UNBOUNDED_RADIUS, live)
 
 
 def pairing(f, g) -> complex:

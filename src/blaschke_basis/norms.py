@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import PreconditionError
-from .fnspace import BoundaryFunction, samples_at_radius
+from .fnspace import BoundaryFunction, dilate
 
 #: Every implemented norm satisfies ||f||_X <= EMBEDDING_CONSTANT * ||f||_sup
 #: thanks to the probability normalizations.
@@ -24,6 +24,7 @@ EMBEDDING_CONSTANT = 1.0
 DOMINATION_SLACK = 1e-10
 
 DEFAULT_RADIAL_NODES = 64
+_MAX_RADIAL_NODES = 1024  # the rule builds dense nodes x nodes matrices
 
 
 def sup_norm(f: BoundaryFunction) -> float:
@@ -73,21 +74,30 @@ def gauss_jacobi(nodes: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     1 / sum_{k<n} p_k(x_i)^2, from the same recurrence at the polished
     node: a sum of squares with no nearby zero, so it stays accurate where
     formulas through p_{n-1}(x_i) or p_n'(x_i) lose digits to node error.
+    From alpha near 1e18 on the rule breaks down: a PreconditionError.
     """
-    k = np.arange(1, nodes + 1, dtype=float)
-    s = 2.0 * k + alpha
-    diagonal = np.empty(nodes)
-    diagonal[0] = alpha / (alpha + 2.0)
-    diagonal[1:] = alpha * alpha / (s[:-1] * (s[:-1] + 2.0))
-    # off[k] = sqrt(4 k^2 (k + alpha)^2 / (s^2 (s^2 - 1))), s = 2k + alpha; off[0] unused
-    off = np.concatenate(([0.0], 2.0 * k * (k + alpha) / (s * np.sqrt(s * s - 1.0))))
-    jacobi = np.diag(diagonal) + np.diag(off[1:nodes], 1) + np.diag(off[1:nodes], -1)
-    x = np.linalg.eigvalsh(jacobi)
-    for _ in range(2):
-        value, derivative, _ = _jacobi_recurrence(x, diagonal, off)
-        x = x - value / derivative
-    christoffel = 1.0 / _jacobi_recurrence(x, diagonal, off)[2]
-    return x, christoffel / math.fsum(christoffel)
+    with np.errstate(all="ignore"):  # a rule that breaks down fails below
+        k = np.arange(1, nodes + 1, dtype=float)
+        s = 2.0 * k + alpha
+        diagonal = np.empty(nodes)
+        diagonal[0] = alpha / (alpha + 2.0)
+        diagonal[1:] = alpha * alpha / (s[:-1] * (s[:-1] + 2.0))
+        # off[k] = sqrt(4 k^2 (k + alpha)^2 / (s^2 (s^2 - 1))), s = 2k + alpha; off[0] unused
+        off = np.concatenate(([0.0], 2.0 * k * (k + alpha) / (s * np.sqrt(s * s - 1.0))))
+        jacobi = np.diag(diagonal) + np.diag(off[1:nodes], 1) + np.diag(off[1:nodes], -1)
+        try:
+            x = np.linalg.eigvalsh(jacobi)
+        except np.linalg.LinAlgError:
+            x = np.full(nodes, np.nan)
+        for _ in range(2):
+            value, derivative, _ = _jacobi_recurrence(x, diagonal, off)
+            x = x - value / derivative
+        christoffel = 1.0 / _jacobi_recurrence(x, diagonal, off)[2]
+        weights = christoffel / math.fsum(christoffel)
+    if not (np.isfinite(x).all() and np.isfinite(weights).all()):
+        raise PreconditionError(f"Bergman weight alpha = {alpha!r} has no finite "
+                                f"{nodes}-node Gauss-Jacobi rule in double precision")
+    return x, weights
 
 
 @lru_cache(maxsize=32)
@@ -133,10 +143,9 @@ class NormSpec:
             raise PreconditionError(f"norm exponent must satisfy p >= 1, got {self.p!r}")
         if self.kind == "bergman" and not self.alpha > -1.0:
             raise PreconditionError(f"Bergman weight needs alpha > -1, got {self.alpha!r}")
-        if self.kind == "bergman" and not self.radial_nodes >= 1:
-            raise PreconditionError(
-                f"Bergman radial_nodes must be positive, got {self.radial_nodes!r}"
-            )
+        if self.kind == "bergman" and not 1 <= self.radial_nodes <= _MAX_RADIAL_NODES:
+            raise PreconditionError(f"Bergman radial_nodes must lie in "
+                                    f"1..{_MAX_RADIAL_NODES}, got {self.radial_nodes!r}")
 
     @classmethod
     def parse(cls, text: str) -> "NormSpec":
@@ -186,8 +195,8 @@ class NormSpec:
         return float(np.mean(np.abs(boundary) ** self.p) ** (1.0 / self.p))
 
     def evaluate(self, f: BoundaryFunction) -> float:
-        radii = self.ring_radii
-        rings = None if radii is None else np.abs(samples_at_radius(f, radii)) ** 2
+        radii = () if self.ring_radii is None else self.ring_radii
+        rings = np.array([np.abs(dilate(f, r).samples) ** 2 for r in radii])
         return self.from_values(f.samples, rings)
 
 

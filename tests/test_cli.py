@@ -124,6 +124,19 @@ class TestConvergence:
                        "--nterms", "4", "--bound", "kernel", "--out", str(tmp_path / "x.csv"))
         assert code == 2
 
+    @pytest.mark.parametrize("norms, name", [("bergman:2:1e20", "alpha"),
+                                             ("bergman:2:1e300", "alpha"),
+                                             ("bergman:2:0:1000000000", "radial_nodes")])
+    def test_bergman_spec_without_a_rule_is_a_usage_error(self, tmp_path, capsys, norms, name):
+        # 1e20 wrote a nan column and exited 0, 1e300 raised LinAlgError, and
+        # 10**9 radial nodes would allocate dense 10**9 x 10**9 matrices
+        out = tmp_path / "x.csv"
+        code = run_cli("convergence", "--func", "kernel:0.3", "--seq", "harmonic-shifted",
+                       "--nterms", "3", "--samples", "256", "--norms", norms, "--out", str(out))
+        assert code == 2
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
     def test_repeated_norm_label_is_a_usage_error(self, tmp_path, capsys):
         # hardy:2 and hardy:2.0 share the label hardy:2, and a Bergman label
         # drops the radial node count; one shared column would interleave the

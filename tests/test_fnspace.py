@@ -20,7 +20,6 @@ from blaschke_basis.fnspace import (
     BoundaryFunction,
     _synthesize,
     deflate,
-    samples_at_radius,
     unit_circle_grid,
 )
 from blaschke_basis.toeplitz import iterates
@@ -207,17 +206,16 @@ class TestSynthesize:
             self.RTOL * np.max(np.sum(np.abs(taylor), axis=1)))
 
     def test_samples_at_radius_rows(self):
+        # a circle of radius r is the boundary of the dilation z -> f(r z)
         f = from_taylor([1, 0.5j, -0.25, 0.125], 256)
-        radii = np.array([0.0, 0.3, 0.7, 1.0])
-        rings = samples_at_radius(f, radii)
-        assert rings.shape == (4, 256)
         grid = unit_circle_grid(256)
-        for r, row in zip(radii, rings):
-            assert np.array_equal(row, samples_at_radius(f, r))
+        for r in (0.0, 0.3, 0.7, 1.0):
+            row = dilate(f, r).samples
+            assert row.shape == (256,)
             points = r * grid[[0, 31, 200]]
             exact = [1 + 0.5j * z - 0.25 * z**2 + 0.125 * z**3 for z in points]
             assert np.max(np.abs(row[[0, 31, 200]] - exact)) <= 1e-15
-        assert np.max(np.abs(rings[-1] - f.samples)) <= 1e-15
+        assert np.max(np.abs(dilate(f, 1.0).samples - f.samples)) <= 1e-15
 
 
 class TestEvalInside:
@@ -356,7 +354,7 @@ class TestPairingAndGrid:
 
     def test_samples_at_radius_matches_eval(self):
         f = cauchy_kernel(0.5, 256)
-        ring = samples_at_radius(f, 0.7)
+        ring = dilate(f, 0.7).samples
         grid = unit_circle_grid(256)
         for idx in (0, 17, 100):
             assert ring[idx] == pytest.approx(eval_inside(f, 0.7 * grid[idx]), abs=1e-12)

@@ -26,7 +26,7 @@ from blaschke_basis import (
 )
 from blaschke_basis.blaschke import blaschke_factor
 from blaschke_basis.fnspace import from_samples, unit_circle_grid
-from blaschke_basis.norms import SUP
+from blaschke_basis.norms import SUP, NormSpec
 from blaschke_basis.toeplitz import iterates
 
 M = 2048
@@ -266,32 +266,46 @@ class TestConvergenceStudy:
         for bound, s in zip(table.columns["bound"], table.columns["sup"]):
             assert bound >= s - 1e-9
 
-    @pytest.mark.parametrize("spec", ["harmonic-shifted", "harmonic"])
-    def test_bergman_columns_match_standalone_norm(self, spec):
-        # the table's ring moduli (power table, closed-form |B_n|^2) against
-        # bergman_norm of standalone_remainder (complex grid products,
-        # samples_at_radius), a route sharing no ring code. Worst relative
-        # gap measured: 6.6e-16 along harmonic-shifted, 3.7e-16 along
-        # harmonic. The standalone remainder keeps M/2 Taylor terms, which
+    KERNEL_NORMS = {"bergman:2:0": (2, 0.0, 64), "bergman:1:0.5": (1, 0.5, 64),
+                    "bergman:3:2.7": (3, 2.7, 64), "bergman:1.5:-0.5": (1.5, -0.5, 64)}
+
+    @pytest.mark.parametrize("case", ["harmonic-shifted", "harmonic", "poly"])
+    def test_bergman_columns_match_standalone_norm(self, case):
+        # The table side synthesizes each ring from the iterate's coefficients
+        # times a power table, in one batched zero-padded (radii, M) inverse
+        # FFT, and takes |B_n|^2 from the closed-form factor moduli of
+        # running_squared_moduli. The standalone side is bergman_norm of
+        # standalone_remainder: R_n f as one function (complex grid products
+        # of the factors, analyzed by from_samples), each ring read as the
+        # boundary of its dilation, a 1-d pruned synthesis. The two share no
+        # ring code. Worst relative gap measured: 5.3e-16 along
+        # harmonic-shifted, 3.0e-16 along harmonic, 8.5e-16 for the
+        # polynomial. The standalone remainder keeps M/2 Taylor terms, which
         # along harmonic-shifted costs it 2.0e-11 at n = 40 with M = 4096
-        # (and fails the analyticity gate from n = 27 with M = 2048), so
-        # that side is built at M = 8192, for a few n to save
-        # time; the table at M = 4096 is within 1e-14 of its own M = 8192
-        # values there
-        count, sample_count, reference_count, checked = {
-            "harmonic-shifted": (40, 4096, 8192, (1, 3, 9, 27, 40)),
-            "harmonic": (12, M, M, range(1, 13)),
-        }[spec]
-        norms = {"bergman:2:0": (2, 0.0), "bergman:1:0.5": (1, 0.5),
-                 "bergman:3:2.7": (3, 2.7), "bergman:1.5:-0.5": (1.5, -0.5)}
+        # (and fails the analyticity gate from n = 27 with M = 2048), so that
+        # side is built at M = 8192, for a few n to save time; the table at
+        # M = 4096 is within 1e-14 of its own M = 8192 values there. The
+        # polynomial is the CLI contract's input and sequence (live length 4,
+        # a 32-node ring rule), checked at all 30 n.
+        spec, count, sample_count, reference_count, checked, make, norms = {
+            "harmonic-shifted": ("harmonic-shifted", 40, 4096, 8192, (1, 3, 9, 27, 40),
+                                 lambda m: cauchy_kernel(0.3 + 0.2j, m), self.KERNEL_NORMS),
+            "harmonic": ("harmonic", 12, M, M, range(1, 13),
+                         lambda m: cauchy_kernel(0.3 + 0.2j, m), self.KERNEL_NORMS),
+            "poly": ("harmonic:2.1", 30, M, M, range(1, 31),
+                     lambda m: from_taylor([1, 0.5, 0.25j, -0.3], m),
+                     {"bergman:2:1:32": (2, 1.0, 32), "bergman:1:0.5": (1, 0.5, 64)}),
+        }[case]
         seq = make_sequence(spec, count)
-        table = convergence_study(cauchy_kernel(0.3 + 0.2j, sample_count), seq, count, list(norms))
-        f = cauchy_kernel(0.3 + 0.2j, reference_count)
+        table = convergence_study(make(sample_count), seq, count, list(norms))
+        f = make(reference_count)
+        assert case != "poly" or f.live_length == 4
         for n in checked:
             remainder = standalone_remainder(f, seq, n)
-            for label, (p, alpha) in norms.items():
+            for text, (p, alpha, nodes) in norms.items():
+                label = NormSpec.parse(text).label
                 assert table.columns[label][n] == pytest.approx(
-                    bergman_norm(remainder, p, alpha), rel=1e-12, abs=0.0
+                    bergman_norm(remainder, p, alpha, radial_nodes=nodes), rel=1e-12, abs=0.0
                 )
 
     def test_csv_shape(self):
