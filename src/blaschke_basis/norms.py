@@ -181,23 +181,26 @@ class NormSpec:
             return None
         return bergman_radial_rule(self.alpha, self.radial_nodes)[0]
 
-    def from_values(self, boundary: np.ndarray, rings: np.ndarray | None = None) -> float:
+    def from_values(self, boundary: np.ndarray, rings: list[np.ndarray] | None = None) -> float:
         """The norm from a function's boundary samples, and for Bergman from
-        its squared moduli |f|^2 on the `ring_radii` circles (one row per
-        radius): trapezoid in angle, Gauss radially. A p = inf norm is the
-        sup over the disk, on the boundary by the maximum principle."""
+        its squared moduli |f|^2 on the `ring_radii` circles, given as a list
+        of row blocks (one row per radius, in radius order; the rows of a
+        block share one angular grid): trapezoid in angle, Gauss radially. A
+        p = inf norm is the sup over the disk, on the boundary by the maximum
+        principle."""
         if self.kind == "sup" or self.p == math.inf:
             return float(np.max(np.abs(boundary)))
         if self.kind == "bergman":
             weights = bergman_radial_rule(self.alpha, self.radial_nodes)[1]
-            angular_means = np.mean(rings ** (self.p / 2.0), axis=1)
+            angular_means = np.concatenate(
+                [np.mean(block ** (self.p / 2.0), axis=1) for block in rings])
             return float(np.dot(weights, angular_means) ** (1.0 / self.p))
         return float(np.mean(np.abs(boundary) ** self.p) ** (1.0 / self.p))
 
     def evaluate(self, f: BoundaryFunction) -> float:
         radii = () if self.ring_radii is None else self.ring_radii
         rings = np.array([np.abs(dilate(f, r).samples) ** 2 for r in radii])
-        return self.from_values(f.samples, rings)
+        return self.from_values(f.samples, [rings])
 
 
 SUP = NormSpec("sup")

@@ -40,6 +40,7 @@ from .blaschke import (
 )
 from .errors import AnalyticityError, PreconditionError
 from .fnspace import (
+    MIN_SAMPLE_COUNT,
     UNBOUNDED_RADIUS,
     BoundaryFunction,
     _synthesize,
@@ -54,6 +55,12 @@ from .toeplitz import iterates
 IDENTITY_GAP_RTOL = 1e-8
 
 _DIAGONAL_FLOOR = 1e-12
+
+#: Angular tolerance eps of the Bergman rings: a circle of radius r gets the
+#: smallest power-of-two grid with r^{M_r} <= eps^2 (see `_RingModuli`).
+RING_TOLERANCE = 1e-17
+
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,40 +238,88 @@ class ConvergenceTable:
         return "\n".join(lines) + "\n"
 
 
+def _ring_sample_counts(radii: np.ndarray, sample_count: int) -> np.ndarray:
+    """M_r for each Bergman circle: the smallest power of two >= 2 ln(eps) /
+    ln(r), eps = RING_TOLERANCE, so that r^{M_r} <= eps^2, kept within
+    MIN_SAMPLE_COUNT..M (M = sample_count)."""
+    with np.errstate(divide="ignore"):  # r = 0 needs no points, r = 1 all M
+        need = np.where(radii < 1.0, 2.0 * np.log(RING_TOLERANCE) / np.log(radii), np.inf)
+    doublings = np.ceil(np.log2(np.maximum(need / MIN_SAMPLE_COUNT, 1.0)))
+    return np.minimum(sample_count, MIN_SAMPLE_COUNT * 2.0 ** doublings).astype(int)
+
+
 class _RingModuli:
     """|R_n|^2 = |shift + h_n|^2 * |B_n|^2 on the circles of one Bergman
-    radial rule, one chain step at a time.
+    radial rule, one chain step at a time, each circle on its own grid.
 
-    What does not depend on h_n is set up once per call: the power table
-    r_i^k, one spectrum buffer the inverse FFT overwrites in place, the
-    moduli buffer, and the running |B_n|^2 on the ring points. `step` must
-    be called for n = 0, 1, ... in order; it returns one row of squared
-    moduli per radius, overwritten by the next step.
-    Its own contiguous (radii, M) transform beat `fnspace._synthesize` with
-    radial weights, whose strided view and twiddle pass cost more: 2.04 ms
-    against 2.22 ms for 619 live coefficients and 1.44 ms against 2.05 ms for
-    4 (64 rings, M = 2048, one thread of a 2-core Xeon, 30-round medians).
+    Circle r gets M_r equispaced points (`sizes`, one per radius; see
+    `_ring_sample_counts`), and consecutive circles with one M_r form a
+    group. What does not depend on h_n is set up once per group: the power
+    table r^k for k < min(M/2, M_r), one (rows, M_r) spectrum buffer the
+    inverse FFT overwrites in place, the moduli buffer, and the running
+    |B_n|^2 on the points r * unit_circle_grid(M_r). Coefficients k >= M_r
+    are dropped; a group with M_r = M zero-pads its upper half instead. `step`
+    must be called for n = 0, 1, ... in order; it returns one block of rows
+    of squared moduli per group, in radius order, overwritten by the next
+    step.
+
+    Two a priori certificates hold for a circle with M_r < M (the trapezoid
+    rule converges like r^{M_r}; Trefethen & Weideman, SIAM Review 2014):
+    - the dropped coefficients weigh r^k <= r^{M_r} <= RING_TOLERANCE^2;
+    - the trapezoid mean of |g|^2, g analytic with Taylor coefficients g_k,
+      differs from the circle mean by the aliased Fourier coefficients
+      sum_{j != 0} sum_k g_{k+|j| M_r} conj(g_k) r^{2k+|j| M_r}, at most
+      2 r^{M_r} / (1 - r^{M_r}) * ||g||^2_{H^2} by Cauchy-Schwarz.
+    Both are checked once here against the squared unit roundoff u^2 =
+    2^-106, so a ring mean of |R_n|^2 carries no quadrature error above its
+    own rounding unless it is below u * ||R_n||^2_{H^2}. The bound covers
+    |R_n|^p only for even integer p, as the mean of |R_n^{p/2}|^2 with
+    R_n^{p/2} analytic; for any other p, |R_n|^p is not smooth where R_n
+    vanishes, so a set of circles shared with such a norm keeps all M points
+    (`sizes` all M).
+    Each group's contiguous (rows, M_r) transform beat `fnspace._synthesize`
+    with radial weights, whose strided view and twiddle pass cost more: 2.04
+    ms against 2.22 ms for 619 live coefficients and 1.44 ms against 2.05 ms
+    for 4 (64 rings at M = 2048, one thread of a 2-core Xeon, 30-round
+    medians).
     """
 
-    def __init__(self, radii: np.ndarray, points: np.ndarray, sample_count: int):
-        self.powers = np.power(radii[:, None], np.arange(sample_count // 2, dtype=float))
-        self.values = np.empty((radii.size, sample_count), dtype=complex)
-        self.moduli = np.empty(self.values.shape)
-        self.products = running_squared_moduli(
-            points, radii[:, None] * unit_circle_grid(sample_count)
-        )
+    def __init__(self, radii: np.ndarray, points: np.ndarray, sample_count: int,
+                 sizes: np.ndarray):
+        reduced = sizes < sample_count
+        dropped = radii[reduced] ** sizes[reduced]
+        if np.max(2.0 * dropped / (1.0 - dropped), initial=0.0) > _UNIT_ROUNDOFF ** 2:
+            raise AssertionError(
+                f"ring grids of {sorted(set(sizes.tolist()))} points for radii up to "
+                f"{np.max(radii[reduced]):.17g} certify no error below 2^-106"
+            )
+        self.groups = []
+        start = 0
+        for size, run in itertools.groupby(sizes.tolist()):
+            rows = radii[start:start + len(list(run))]
+            start += rows.size
+            width = min(sample_count // 2, size)
+            self.groups.append((
+                np.power(rows[:, None], np.arange(width, dtype=float)),
+                np.empty((rows.size, size), dtype=complex),
+                np.empty((rows.size, size)),
+                running_squared_moduli(points, rows[:, None] * unit_circle_grid(size)),
+            ))
 
-    def step(self, shift: complex, h: BoundaryFunction) -> np.ndarray:
-        half = self.powers.shape[1]
-        np.multiply(h.taylor, self.powers, out=self.values[:, :half])
-        self.values[:, half:] = 0.0
-        # unnormalized inverse, in place: values[k] = sum_n a_n r^n omega^(n k)
-        np.fft.ifft(self.values, norm="forward", out=self.values)
-        self.values += shift
-        np.abs(self.values, out=self.moduli)
-        self.moduli *= self.moduli
-        self.moduli *= next(self.products)
-        return self.moduli
+    def step(self, shift: complex, h: BoundaryFunction) -> list[np.ndarray]:
+        blocks = []
+        for powers, values, moduli, products in self.groups:
+            width = powers.shape[1]
+            np.multiply(h.taylor[:width], powers, out=values[:, :width])
+            values[:, width:] = 0.0
+            # unnormalized inverse, in place: values[k] = sum_n a_n r^n omega^(n k)
+            np.fft.ifft(values, norm="forward", out=values)
+            values += shift
+            np.abs(values, out=moduli)
+            moduli *= moduli
+            moduli *= next(products)
+            blocks.append(moduli)
+        return blocks
 
 
 def convergence_study(
@@ -300,11 +355,18 @@ def convergence_study(
 
     # Bergman columns read |R_n|^2 on interior circles from `_RingModuli`, so
     # no spectral representation of the product is ever formed; specs on the
-    # same circles share their ring moduli.
-    ring_radii = {
-        (s.alpha, s.radial_nodes): s.ring_radii for s in extra_specs if s.ring_radii is not None
-    }
-    rings = {key: _RingModuli(radii, points, f.sample_count) for key, radii in ring_radii.items()}
+    # same circles share their ring moduli, and those circles get grids sized
+    # by radius only if every such spec has an even integer p.
+    ring_specs = {}
+    for s in extra_specs:
+        if s.ring_radii is not None:
+            ring_specs.setdefault((s.alpha, s.radial_nodes), []).append(s)
+    rings = {}
+    for key, shared in ring_specs.items():
+        radii = shared[0].ring_radii
+        sizes = (_ring_sample_counts(radii, f.sample_count)
+                 if all(s.p % 2 == 0 for s in shared) else np.full(radii.size, f.sample_count))
+        rings[key] = _RingModuli(radii, points, f.sample_count, sizes)
 
     # row 0 is R_0 f = f: no shift, and B_0 = 1
     first = (0.0, f, f.samples, sup_norm(f))

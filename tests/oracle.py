@@ -22,11 +22,22 @@ Everything here runs on `mpmath` numbers and calls nothing of the library:
 
 Inputs are Python or numpy numbers, taken as exact binary values; outputs are
 mpmath numbers, so callers choose where to round.
+
+Two double-precision routes stand apart, in numpy and `math` alone:
+
+- `remainder_taylor` gives the Taylor coefficients of the remainder
+  R_n = (shift + h_n) B_n by a 2^17-point synthesis of the product, far
+  beyond the bandwidth of B_n, so the product does not alias;
+- `bergman_norm_from_taylor` is the exact A^2_alpha norm of a function from
+  its Taylor coefficients: no radial rule and no angular grid.
 """
 
 from __future__ import annotations
 
+import math
+
 import mpmath
+import numpy as np
 
 DIGITS = 40
 
@@ -129,3 +140,27 @@ def gauss_jacobi_rule(nodes, alpha):
         total = mpmath.fsum(w)
         pairs = sorted(zip(x, w))
         return [p[0] for p in pairs], [p[1] / total for p in pairs]
+
+
+def remainder_taylor(taylor, shift, zeros, sample_count=2 ** 17):
+    """Taylor coefficients 0..sample_count/2 - 1 of (shift + h) * B, h the
+    polynomial with coefficients `taylor` and B the Blaschke product with
+    `zeros`: both factors are sampled on the sample_count-th roots of unity,
+    multiplied there and analyzed back."""
+    grid = np.exp(2j * np.pi * np.arange(sample_count) / sample_count)
+    spectrum = np.zeros(sample_count, dtype=complex)
+    spectrum[: len(taylor)] = taylor
+    values = np.fft.ifft(spectrum, norm="forward") + shift
+    for lam in zeros:
+        values *= (lam - grid) / (1 - np.conj(lam) * grid)
+    return np.fft.fft(values, norm="forward")[: sample_count // 2]
+
+
+def bergman_norm_from_taylor(taylor, alpha):
+    """(sum_k |g_k|^2 Gamma(k+1) Gamma(alpha+2) / Gamma(k+alpha+2))^(1/2): the
+    A^2_alpha norm of g = sum_k g_k z^k for the probability measure
+    (1+alpha)(1-|z|^2)^alpha dA/pi, under which ||z^k||^2 is that ratio."""
+    base = math.lgamma(alpha + 2)
+    weights = np.array([math.exp(math.lgamma(k + 1) + base - math.lgamma(k + alpha + 2))
+                        for k in range(len(taylor))])
+    return math.sqrt(math.fsum(np.abs(taylor) ** 2 * weights))

@@ -1,6 +1,7 @@
 """Tests for the expansion construction, remainders and reconstruction."""
 
 import cmath
+import itertools
 
 import numpy as np
 import pytest
@@ -24,9 +25,11 @@ from blaschke_basis import (
     sup_norm,
     triangular_reconstruct,
 )
+from blaschke_basis import schauder
 from blaschke_basis.blaschke import blaschke_factor
 from blaschke_basis.fnspace import from_samples, unit_circle_grid
-from blaschke_basis.norms import SUP, NormSpec
+from blaschke_basis.norms import SUP, NormSpec, bergman_radial_rule
+from blaschke_basis.schauder import _ring_sample_counts, _RingModuli
 from blaschke_basis.toeplitz import iterates
 
 M = 2048
@@ -272,9 +275,10 @@ class TestConvergenceStudy:
     @pytest.mark.parametrize("case", ["harmonic-shifted", "harmonic", "poly"])
     def test_bergman_columns_match_standalone_norm(self, case):
         # The table side synthesizes each ring from the iterate's coefficients
-        # times a power table, in one batched zero-padded (radii, M) inverse
-        # FFT, and takes |B_n|^2 from the closed-form factor moduli of
-        # running_squared_moduli. The standalone side is bergman_norm of
+        # times a power table, in one batched inverse FFT per group of circles
+        # on one grid (bergman:2:0 and bergman:2:1:32 on grids sized by
+        # radius, the other p on all M points), and takes |B_n|^2 from the
+        # closed-form factor moduli of running_squared_moduli. The standalone side is bergman_norm of
         # standalone_remainder: R_n f as one function (complex grid products
         # of the factors, analyzed by from_samples), each ring read as the
         # boundary of its dilation, a 1-d pruned synthesis. The two share no
@@ -316,6 +320,99 @@ class TestConvergenceStudy:
         assert lines[0] == "n,sup,hardy:2"
         assert len(lines) == 6  # header + rows n = 0..4
         assert text.endswith("\n")
+
+
+class TestRingGrids:
+    """The Bergman circles of an even-p column on power-of-two grids sized by
+    radius (`_ring_sample_counts`), against every circle on the full grid."""
+
+    CASES = {  # function, sequence, steps, (alpha, radial nodes) of the rings
+        "kernel:0.3": (lambda: cauchy_kernel(0.3, 2048), "harmonic-shifted", 60, (0.0, 64)),
+        "kernel:0.9": (lambda: cauchy_kernel(0.9, 8192), "harmonic:1.7", 100, (1.0, 64)),
+        "poly": (lambda: from_taylor([1, 0.5, 0.25j, -0.3], 2048), "harmonic:2.1", 30, (1.0, 32)),
+    }
+
+    @pytest.mark.parametrize("alpha, nodes", [(0.0, 64), (1.0, 64), (1.0, 32), (-0.5, 64),
+                                              (2.7, 8), (0.0, 1024)])
+    @pytest.mark.parametrize("m", [16, 256, 2048, 8192])
+    def test_sizes_are_the_smallest_certified_powers_of_two(self, alpha, nodes, m):
+        radii = bergman_radial_rule(alpha, nodes)[0]
+        sizes = _ring_sample_counts(radii, m)
+        assert sizes.dtype.kind == "i" and np.all((16 <= sizes) & (sizes <= m))
+        assert np.all(sizes & (sizes - 1) == 0)
+        assert np.all(np.diff(sizes) <= 0)  # radii descend, so groups are contiguous
+        eps_squared = schauder.RING_TOLERANCE ** 2
+        reduced = sizes < m
+        assert np.all(radii[reduced] ** sizes[reduced] <= eps_squared)
+        halved = reduced & (sizes > 16)
+        assert np.all(radii[halved] ** (sizes[halved] // 2) > eps_squared)
+
+    def test_group_counts_at_64_nodes(self):
+        # 7 groups at M = 2048 with 16 full rings, 9 at M = 8192 with 8
+        radii = bergman_radial_rule(0.0, 64)[0]
+        for m, groups, full, work in ((2048, 7, 16, 0.37), (8192, 9, 8, 0.20)):
+            sizes = _ring_sample_counts(radii, m)
+            assert np.unique(sizes).size == groups
+            assert np.count_nonzero(sizes == m) == full
+            assert sizes.sum() / (64 * m) == pytest.approx(work, abs=0.005)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_group_means_match_full_grid_rows(self, case):
+        # every circle's angular mean of |R_n|^2 on its own grid against the
+        # same circle on all M points, n = 0..N; worst relative gap measured
+        # 4.4e-16 (kernel:0.3), 7.6e-16 (kernel:0.9, full band at M = 8192),
+        # 4.4e-16 (poly); the full-M group is the same computation, bitwise
+        make, spec, count, (alpha, nodes) = self.CASES[case]
+        f = make()
+        m = f.sample_count
+        assert case != "kernel:0.9" or f.live_length == m // 2
+        points = make_sequence(spec, count).points[:count]
+        radii = bergman_radial_rule(alpha, nodes)[0]
+        sizes = _ring_sample_counts(radii, m)
+        grouped = _RingModuli(radii, points, m, sizes)
+        full = _RingModuli(radii, points, m, np.full(radii.size, m))
+        steps = itertools.chain([(0.0, f)], ((shift, h) for _, shift, h in iterates(f, points)))
+        for shift, h in steps:
+            blocks = grouped.step(shift, h)
+            assert [block.shape for block in blocks] == [
+                (np.count_nonzero(sizes == size), size) for size in np.unique(sizes)[::-1]]
+            means = np.concatenate([np.mean(block, axis=1) for block in blocks])
+            expected = np.mean(full.step(shift, h)[0], axis=1)
+            assert np.all(np.abs(means - expected) <= 1e-15 * expected)
+            assert np.array_equal(means[sizes == m], expected[sizes == m])
+
+    def test_certificate_checked_at_set_up(self, monkeypatch):
+        # with eps = 1e-8 the grids would certify only r^{M_r} <= 1e-16, not
+        # the squared unit roundoff 2^-106 = 1.2e-32
+        f = cauchy_kernel(0.3, M)
+        seq = make_sequence("harmonic-shifted", 4)
+        convergence_study(f, seq, 4, ["bergman:2:0"])
+        monkeypatch.setattr(schauder, "RING_TOLERANCE", 1e-8)
+        with pytest.raises(AssertionError, match="certify"):
+            convergence_study(f, seq, 4, ["bergman:2:0"])
+        convergence_study(f, seq, 4, ["bergman:1:0"])  # odd p keeps all M points
+
+    def test_odd_p_on_shared_circles_keeps_the_full_grid(self, monkeypatch):
+        # bergman:1:0 shares its circles with bergman:2:0, so every circle of
+        # the set keeps M points and the p = 1 column is the one of a table
+        # that has it alone, bit for bit
+        sizes = []
+
+        def recording(radii, points, sample_count, ring_sizes):
+            sizes.append(set(ring_sizes.tolist()))
+            return _RingModuli(radii, points, sample_count, ring_sizes)
+
+        monkeypatch.setattr(schauder, "_RingModuli", recording)
+        f = cauchy_kernel(0.3 + 0.2j, M)
+        seq = make_sequence("harmonic-shifted", 30)
+        shared = convergence_study(f, seq, 30, ["bergman:2:0", "bergman:1:0"])
+        alone = convergence_study(f, seq, 30, ["bergman:1:0"])
+        assert shared.columns["bergman:1:0"] == alone.columns["bergman:1:0"]
+        grouped = convergence_study(f, seq, 30, ["bergman:2:0", "bergman:4:0:32"])
+        assert sizes[:2] == [{M}, {M}] and len(sizes[2]) == 7 and len(sizes[3]) == 7
+        gaps = [abs(a - b) / b for a, b in zip(shared.columns["bergman:2:0"],
+                                               grouped.columns["bergman:2:0"])]
+        assert max(gaps) <= 1e-15
 
 
 def test_expansion_result_serialization():
@@ -365,8 +462,6 @@ def test_degradation_reports_step(monkeypatch):
     # evaluated on the grid one Blaschke factor at a time; a factor that
     # disagrees with the chain in one grid value (b_{lambda_1} off by 1 at
     # one sample) fails it, with drift 0.64 against 1e-8 * sup|f| = 2e-8
-    from blaschke_basis import schauder
-
     seq = make_sequence("harmonic-shifted", 4)
 
     def perturbed(lam, z):

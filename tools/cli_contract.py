@@ -69,6 +69,8 @@ DATA_COMMANDS = [
     "tmw witness --kmax 32 --seq harmonic --out k.json",
     "tmw witness --kmax 16 --support 2,3,5,11 --seq harmonic-shifted --samples 2048 --out l.json",
     "expand --func file:func.json --seq harmonic:0.9 --nterms 50 --out m.json",
+    "convergence --func kernel:0.9 --seq harmonic:1.7 --nterms 100 "
+    "--norms sup,bergman:2:1,bergman:4:1,bergman:1:0 --samples 8192 --out n.csv",
 ]
 
 #: The `file:` input: a truncated, non-entire function with complex
