@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import PreconditionError
-from .fnspace import BoundaryFunction, dilate
+from .fnspace import MIN_SAMPLE_COUNT, BoundaryFunction, dilate
 
 #: Every implemented norm satisfies ||f||_X <= EMBEDDING_CONSTANT * ||f||_sup
 #: thanks to the probability normalizations.
@@ -25,6 +25,10 @@ DOMINATION_SLACK = 1e-10
 
 DEFAULT_RADIAL_NODES = 64
 _MAX_RADIAL_NODES = 1024  # the rule builds dense nodes x nodes matrices
+
+#: Angular tolerance eps of the Bergman rings: a circle of radius r gets the
+#: smallest power-of-two grid with r^{M_r} <= eps^2 (`ring_sample_counts`).
+RING_TOLERANCE = 1e-17
 
 
 def sup_norm(f: BoundaryFunction) -> float:
@@ -115,6 +119,18 @@ def bergman_radial_rule(alpha: float, radial_nodes: int) -> tuple[np.ndarray, np
     radii.setflags(write=False)
     weights.setflags(write=False)
     return radii, weights
+
+
+def ring_sample_counts(radii: np.ndarray, sample_count: int) -> np.ndarray:
+    """The angular grid M_r of each Bergman circle of radius r in `radii`: the
+    smallest power of two >= 2 ln(eps) / ln(r), eps = RING_TOLERANCE, so that
+    r^{M_r} <= eps^2, kept within MIN_SAMPLE_COUNT..M (M = sample_count).
+    The trapezoid rule on a circle converges like r^{M_r} for the squared
+    modulus of an analytic function (see `schauder._RingModuli`)."""
+    with np.errstate(divide="ignore"):  # r = 0 needs no points, r = 1 all M
+        need = np.where(radii < 1.0, 2.0 * np.log(RING_TOLERANCE) / np.log(radii), np.inf)
+    doublings = np.ceil(np.log2(np.maximum(need / MIN_SAMPLE_COUNT, 1.0)))
+    return np.minimum(sample_count, MIN_SAMPLE_COUNT * 2.0 ** doublings).astype(int)
 
 
 def bergman_norm(

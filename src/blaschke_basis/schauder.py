@@ -40,14 +40,13 @@ from .blaschke import (
 )
 from .errors import AnalyticityError, PreconditionError
 from .fnspace import (
-    MIN_SAMPLE_COUNT,
     UNBOUNDED_RADIUS,
     BoundaryFunction,
     _synthesize,
     from_samples,
     unit_circle_grid,
 )
-from .norms import DOMINATION_SLACK, EMBEDDING_CONSTANT, NormSpec, sup_norm
+from .norms import DOMINATION_SLACK, EMBEDDING_CONSTANT, NormSpec, ring_sample_counts, sup_norm
 from .toeplitz import iterates
 
 #: Accumulated floating-point drift between f - S_N f and the closed-form
@@ -55,10 +54,6 @@ from .toeplitz import iterates
 IDENTITY_GAP_RTOL = 1e-8
 
 _DIAGONAL_FLOOR = 1e-12
-
-#: Angular tolerance eps of the Bergman rings: a circle of radius r gets the
-#: smallest power-of-two grid with r^{M_r} <= eps^2 (see `_RingModuli`).
-RING_TOLERANCE = 1e-17
 
 _UNIT_ROUNDOFF = 2.0 ** -53
 
@@ -238,22 +233,12 @@ class ConvergenceTable:
         return "\n".join(lines) + "\n"
 
 
-def _ring_sample_counts(radii: np.ndarray, sample_count: int) -> np.ndarray:
-    """M_r for each Bergman circle: the smallest power of two >= 2 ln(eps) /
-    ln(r), eps = RING_TOLERANCE, so that r^{M_r} <= eps^2, kept within
-    MIN_SAMPLE_COUNT..M (M = sample_count)."""
-    with np.errstate(divide="ignore"):  # r = 0 needs no points, r = 1 all M
-        need = np.where(radii < 1.0, 2.0 * np.log(RING_TOLERANCE) / np.log(radii), np.inf)
-    doublings = np.ceil(np.log2(np.maximum(need / MIN_SAMPLE_COUNT, 1.0)))
-    return np.minimum(sample_count, MIN_SAMPLE_COUNT * 2.0 ** doublings).astype(int)
-
-
 class _RingModuli:
     """|R_n|^2 = |shift + h_n|^2 * |B_n|^2 on the circles of one Bergman
     radial rule, one chain step at a time, each circle on its own grid.
 
     Circle r gets M_r equispaced points (`sizes`, one per radius; see
-    `_ring_sample_counts`), and consecutive circles with one M_r form a
+    `norms.ring_sample_counts`), and consecutive circles with one M_r form a
     group. What does not depend on h_n is set up once per group: the power
     table r^k for k < min(M/2, M_r), one (rows, M_r) spectrum buffer the
     inverse FFT overwrites in place, the moduli buffer, and the running
@@ -265,7 +250,7 @@ class _RingModuli:
 
     Two a priori certificates hold for a circle with M_r < M (the trapezoid
     rule converges like r^{M_r}; Trefethen & Weideman, SIAM Review 2014):
-    - the dropped coefficients weigh r^k <= r^{M_r} <= RING_TOLERANCE^2;
+    - the dropped coefficients weigh r^k <= r^{M_r} <= norms.RING_TOLERANCE^2;
     - the trapezoid mean of |g|^2, g analytic with Taylor coefficients g_k,
       differs from the circle mean by the aliased Fourier coefficients
       sum_{j != 0} sum_k g_{k+|j| M_r} conj(g_k) r^{2k+|j| M_r}, at most
@@ -364,7 +349,7 @@ def convergence_study(
     rings = {}
     for key, shared in ring_specs.items():
         radii = shared[0].ring_radii
-        sizes = (_ring_sample_counts(radii, f.sample_count)
+        sizes = (ring_sample_counts(radii, f.sample_count)
                  if all(s.p % 2 == 0 for s in shared) else np.full(radii.size, f.sample_count))
         rings[key] = _RingModuli(radii, points, f.sample_count, sizes)
 

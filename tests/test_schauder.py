@@ -25,11 +25,11 @@ from blaschke_basis import (
     sup_norm,
     triangular_reconstruct,
 )
-from blaschke_basis import schauder
+from blaschke_basis import norms, schauder
 from blaschke_basis.blaschke import blaschke_factor
 from blaschke_basis.fnspace import from_samples, unit_circle_grid
-from blaschke_basis.norms import SUP, NormSpec, bergman_radial_rule
-from blaschke_basis.schauder import _ring_sample_counts, _RingModuli
+from blaschke_basis.norms import SUP, NormSpec, bergman_radial_rule, ring_sample_counts
+from blaschke_basis.schauder import _RingModuli
 from blaschke_basis.toeplitz import iterates
 
 M = 2048
@@ -324,7 +324,7 @@ class TestConvergenceStudy:
 
 class TestRingGrids:
     """The Bergman circles of an even-p column on power-of-two grids sized by
-    radius (`_ring_sample_counts`), against every circle on the full grid."""
+    radius (`norms.ring_sample_counts`), against every circle on the full grid."""
 
     CASES = {  # function, sequence, steps, (alpha, radial nodes) of the rings
         "kernel:0.3": (lambda: cauchy_kernel(0.3, 2048), "harmonic-shifted", 60, (0.0, 64)),
@@ -337,11 +337,11 @@ class TestRingGrids:
     @pytest.mark.parametrize("m", [16, 256, 2048, 8192])
     def test_sizes_are_the_smallest_certified_powers_of_two(self, alpha, nodes, m):
         radii = bergman_radial_rule(alpha, nodes)[0]
-        sizes = _ring_sample_counts(radii, m)
+        sizes = ring_sample_counts(radii, m)
         assert sizes.dtype.kind == "i" and np.all((16 <= sizes) & (sizes <= m))
         assert np.all(sizes & (sizes - 1) == 0)
         assert np.all(np.diff(sizes) <= 0)  # radii descend, so groups are contiguous
-        eps_squared = schauder.RING_TOLERANCE ** 2
+        eps_squared = norms.RING_TOLERANCE ** 2
         reduced = sizes < m
         assert np.all(radii[reduced] ** sizes[reduced] <= eps_squared)
         halved = reduced & (sizes > 16)
@@ -351,7 +351,7 @@ class TestRingGrids:
         # 7 groups at M = 2048 with 16 full rings, 9 at M = 8192 with 8
         radii = bergman_radial_rule(0.0, 64)[0]
         for m, groups, full, work in ((2048, 7, 16, 0.37), (8192, 9, 8, 0.20)):
-            sizes = _ring_sample_counts(radii, m)
+            sizes = ring_sample_counts(radii, m)
             assert np.unique(sizes).size == groups
             assert np.count_nonzero(sizes == m) == full
             assert sizes.sum() / (64 * m) == pytest.approx(work, abs=0.005)
@@ -368,7 +368,7 @@ class TestRingGrids:
         assert case != "kernel:0.9" or f.live_length == m // 2
         points = make_sequence(spec, count).points[:count]
         radii = bergman_radial_rule(alpha, nodes)[0]
-        sizes = _ring_sample_counts(radii, m)
+        sizes = ring_sample_counts(radii, m)
         grouped = _RingModuli(radii, points, m, sizes)
         full = _RingModuli(radii, points, m, np.full(radii.size, m))
         steps = itertools.chain([(0.0, f)], ((shift, h) for _, shift, h in iterates(f, points)))
@@ -387,7 +387,7 @@ class TestRingGrids:
         f = cauchy_kernel(0.3, M)
         seq = make_sequence("harmonic-shifted", 4)
         convergence_study(f, seq, 4, ["bergman:2:0"])
-        monkeypatch.setattr(schauder, "RING_TOLERANCE", 1e-8)
+        monkeypatch.setattr(norms, "RING_TOLERANCE", 1e-8)
         with pytest.raises(AssertionError, match="certify"):
             convergence_study(f, seq, 4, ["bergman:2:0"])
         convergence_study(f, seq, 4, ["bergman:1:0"])  # odd p keeps all M points
