@@ -160,17 +160,14 @@ def running_products(zeros, z):
     multiplying in one factor per step (vectorized over z of any shape).
 
     Every product the library evaluates is formed here or, where only its
-    modulus is needed (the Bergman rings, the TMW functional norm), in
-    `running_squared_moduli` below, one multiplication per factor in
-    sequence order; only the independent oracles (triangular reconstruction,
-    the selftest span builder) multiply their own, and so do the TMW
-    elements of the Gram matrix, the witness and `tmw_element`. Those are
-    products of different lengths over one sequence, each factor multiplied
-    into the rows that still need it; a generator that stopped rows at
-    different prefixes would have to branch on which caller it serves, so
-    that batched triangle lives in `tmw`. The expansion's identity-gap check
-    and partial sums form no product at all: they evaluate sum c_n B_n in
-    nested form, from the last factor back to the first.
+    modulus is needed (the Bergman rings), in `running_squared_moduli`
+    below, one multiplication per factor in sequence order; only the
+    independent oracles (triangular reconstruction, the selftest span
+    builder) multiply their own. The TMW elements of the Gram matrix, the
+    witness and `tmw_element` read one stream, each taking B_{n-1} as the
+    stream passes it. The expansion's identity-gap check and partial sums
+    form no product at all: they evaluate sum c_n B_n in nested form, from
+    the last factor back to the first.
     """
     z = np.asarray(z, dtype=complex)
     # each step replaces the running product, so no earlier product stays alive
@@ -193,6 +190,9 @@ def running_squared_moduli(zeros, z):
     as z approaches lambda. The points' coordinates are read once; each step
     is a few real multiply-adds, done in place. The yielded array is
     overwritten by the next step, so copy it to keep it.
+
+    Its caller is the Bergman ring quadrature, on circles inside the disk;
+    on the unit circle itself |B_n| = 1 and no pass is needed.
     """
     z = np.asarray(z, dtype=complex)
     x, y = z.real.copy(), z.imag.copy()

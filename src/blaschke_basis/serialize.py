@@ -33,10 +33,10 @@ def _render(obj, indent: int) -> str:
         if not obj:
             return "[]"
         if all(type(value) is float and math.isfinite(value) for value in obj):
-            # the float branch below, without a call per item
-            rendered = [format(value, FLOAT_FORMAT) for value in obj]
-        else:
-            rendered = [_render(value, indent + 1) for value in obj]
+            # the float branch below, without a call per item; a FLOAT_FORMAT
+            # float has at most 19 characters, so the list always fits inline
+            return "[" + ", ".join(format(value, FLOAT_FORMAT) for value in obj) + "]"
+        rendered = [_render(value, indent + 1) for value in obj]
         if all(len(r) <= 24 and "\n" not in r for r in rendered):
             return "[" + ", ".join(rendered) + "]"
         return "[\n" + ",\n".join(child_pad + r for r in rendered) + f"\n{pad}]"

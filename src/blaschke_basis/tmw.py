@@ -15,10 +15,11 @@ support rather than asserting a limit.
 
 All three diagnostics work on the M-point grid. The kernel k_lambda is
 sampled in closed form, truncated at the grid bandwidth M/2 like the kernel
-`cauchy_kernel` synthesizes; the elements multiply it by one factor
-evaluation per sequence point. The Gram matrix is one matrix-vector product
-per column, and the functional norm reads only the squared moduli
-|k_lambda|^2 |B_{n-1}|^2.
+`cauchy_kernel` synthesizes; the elements multiply it by the products
+B_{n-1} of one `running_products` stream, so each factor is evaluated once
+and each element costs one product row. The Gram matrix is one
+matrix-vector product per column, and the functional norm is the grid norm
+of the truncated kernel alone, since B_{n-1} is unimodular on the circle.
 """
 
 from __future__ import annotations
@@ -31,9 +32,8 @@ import numpy as np
 from .blaschke import (
     PointSequence,
     SequenceKind,
-    blaschke_factor,
     pole_radius,
-    running_squared_moduli,
+    running_products,
 )
 from .errors import PreconditionError
 from .fnspace import BoundaryFunction, eval_inside, from_samples, unit_circle_grid
@@ -51,10 +51,11 @@ class TMWElement:
     sequence: PointSequence
 
 
-def _truncated_kernel(lam, grid: np.ndarray) -> np.ndarray:
+def _truncated_kernel(lam, grid: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Samples on the M-point grid of the kernel k_lambda truncated at the
     grid bandwidth, sum_{k < M/2} conj(lambda)^k z^k: the function that
-    `cauchy_kernel(lambda, M)` holds.
+    `cauchy_kernel(lambda, M)` holds. Written into `out` (complex, M wide)
+    when given.
 
     At z = omega^j the truncated power z^(M/2) is (-1)^j, so the geometric
     sum closes to (1 - conj(lambda)^(M/2) (-1)^j) / (1 - conj(lambda) z):
@@ -62,7 +63,7 @@ def _truncated_kernel(lam, grid: np.ndarray) -> np.ndarray:
     """
     w = np.conj(lam)
     tail = w ** (grid.size // 2)
-    samples = np.empty(grid.size, dtype=complex)
+    samples = np.empty(grid.size, dtype=complex) if out is None else out
     samples[0::2] = 1.0 - tail
     samples[1::2] = 1.0 + tail
     samples /= 1.0 - w * grid
@@ -70,23 +71,26 @@ def _truncated_kernel(lam, grid: np.ndarray) -> np.ndarray:
 
 
 def _element_rows(seq: PointSequence, indices, sample_count: int) -> np.ndarray:
-    """Samples of the TMW elements n in `indices` (ascending), one row each.
+    """Samples of the TMW elements n in `indices` (ascending, distinct), one
+    row each.
 
-    Row n starts as sqrt(1 - |lambda_n|^2) times the truncated kernel
-    `_truncated_kernel(lambda_n)`; then each factor b_{lambda_j} is evaluated
-    once and multiplied into every row with n > j, in sequence order, so
-    every row is the running product that `running_products` would form for
-    it alone.
+    Row n is the truncated kernel `_truncated_kernel(lambda_n)`, times
+    sqrt(1 - |lambda_n|^2), times B_{n-1}, written in place. The products
+    come from one `running_products` stream over lambda_1..lambda_{n_max-1}:
+    each factor is evaluated once, and each row takes one product row when
+    the stream reaches its B_{n-1}.
     """
     grid = unit_circle_grid(sample_count)
     rows = np.empty((len(indices), sample_count), dtype=complex)
+    products = enumerate(running_products(seq.points[: indices[-1] - 1], grid))
     for row, n in zip(rows, indices):
         lam = seq.points[n - 1]
-        row[:] = math.sqrt(1.0 - abs(lam) ** 2) * _truncated_kernel(lam, grid)
-    # the row to start from for every factor, found in one search
-    firsts = np.searchsorted(indices, np.arange(1, indices[-1]), side="right")
-    for j, first in enumerate(firsts, start=1):
-        rows[first:] *= blaschke_factor(seq.points[j - 1], grid)
+        _truncated_kernel(lam, grid, out=row)
+        row *= math.sqrt(1.0 - abs(lam) ** 2)
+        for degree, product in products:
+            if degree == n - 1:
+                break
+        row *= product
     return rows
 
 
@@ -128,21 +132,20 @@ class FunctionalNormComparison:
 def functional_norm(seq: PointSequence, n: int, sample_count: int) -> FunctionalNormComparison:
     """Norm of f -> (iterate over lambda_1..lambda_{n-1} of f)(lambda_n) on H^2.
 
-    Quadrature side: discrete H^2 norm of B_{n-1} k_{lambda_n}, the square
-    root of the grid mean of |k_{lambda_n}|^2 |B_{n-1}|^2, with the kernel
-    from `_truncated_kernel` and |B_{n-1}|^2 from `running_squared_moduli`;
-    no complex product is formed. Closed form: 1/sqrt(1 - |lambda_n|^2).
-    The product factor is unimodular on the grid, so the two agree up to
-    the kernel's truncation tail |lambda_n|^M.
+    Quadrature side: discrete H^2 norm of B_{n-1} k_{lambda_n}. B_{n-1} is
+    unimodular on the circle, so this is the square root of the grid mean of
+    |k_{lambda_n}|^2 alone, with the kernel from `_truncated_kernel`; no
+    factor is evaluated. Multiplying in the grid values of |B_{n-1}|^2 would
+    add only their rounding; the Gram diagonal, which holds the squared
+    norms of the full elements, still exercises them. Closed form:
+    1/sqrt(1 - |lambda_n|^2). The two agree up to the kernel's truncation
+    tail |lambda_n|^M.
     """
     if not 1 <= n <= len(seq):
         raise PreconditionError(f"functional index {n} outside 1..{len(seq)}")
     lam = seq.points[n - 1]
-    grid = unit_circle_grid(sample_count)
-    for moduli in running_squared_moduli(seq.points[: n - 1], grid):
-        pass
-    moduli *= np.abs(_truncated_kernel(lam, grid)) ** 2
-    quadrature = float(np.sqrt(np.mean(moduli)))
+    kernel = _truncated_kernel(lam, unit_circle_grid(sample_count))
+    quadrature = float(np.sqrt(np.mean(np.abs(kernel) ** 2)))
     return FunctionalNormComparison(quadrature, 1.0 / math.sqrt(1.0 - abs(lam) ** 2))
 
 
@@ -226,7 +229,7 @@ def lacunary_witness(
 
     total = np.zeros(sample_count, dtype=complex)
     for c, row in zip(coefficients, _element_rows(seq, indices, sample_count)):
-        total = total + c * row
+        total += c * row
     radius = min(pole_radius(p) for p in seq.points[: indices[-1]])
     witness_fn = from_samples(total, radius)
 

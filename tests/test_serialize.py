@@ -44,6 +44,45 @@ def test_golden_layout():
     )
 
 
+def test_golden_gram_layout():
+    # rows of [re, im] pairs, as `tmw gram` writes them; the text is the one
+    # the renderer gave before lists of plain floats returned inline at once,
+    # and the widest 12-digit floats (19 characters) still share one line
+    doc = {
+        "k": 3,
+        "matrix": [
+            [[1.0, 0.0], [-2.0816681711721685e-17, 1e-300], [0.5, -0.0]],
+            [[-2.0816681711721685e-17, -1e-300], [0.9999999999999998, -0.0],
+             [3.3306690738754696e-16, 2.5]],
+            [[0.5, 0.0], [3.3306690738754696e-16, -2.5], [1.0000000000000002, 0.0]],
+        ],
+        "widest": [-1.2345678901234567e-300, 9.876543210987654e+299, -0.0, 1e-300],
+    }
+    assert dumps_canonical(doc) == (
+        "{\n"
+        '  "k": 3,\n'
+        '  "matrix": [\n'
+        "    [\n"
+        "      [1, 0],\n"
+        "      [-2.08166817117e-17, 1e-300],\n"
+        "      [0.5, -0]\n"
+        "    ],\n"
+        "    [\n"
+        "      [-2.08166817117e-17, -1e-300],\n"
+        "      [1, -0],\n"
+        "      [3.33066907388e-16, 2.5]\n"
+        "    ],\n"
+        "    [\n"
+        "      [0.5, 0],\n"
+        "      [3.33066907388e-16, -2.5],\n"
+        "      [1, 0]\n"
+        "    ]\n"
+        "  ],\n"
+        '  "widest": [-1.23456789012e-300, 9.87654321099e+299, -0, 1e-300]\n'
+        "}\n"
+    )
+
+
 @pytest.mark.parametrize("doc", [
     [1.0, math.nan],
     [math.inf],

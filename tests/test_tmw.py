@@ -20,6 +20,7 @@ from blaschke_basis import (
     zero_extraction_step,
 )
 from blaschke_basis import toeplitz
+from blaschke_basis.blaschke import running_products
 from blaschke_basis.fnspace import unit_circle_grid
 from blaschke_basis.tmw import _element_rows, _truncated_kernel, resolve_support
 
@@ -83,17 +84,10 @@ class TestGram:
         gram = gram_matrix(seq, 16, 512)
         assert len(calls) == 15
         monkeypatch.undo()
-        # the rows are the products each element would form alone: its
-        # weighted truncated kernel times one factor after another, in
-        # sequence order
-        grid = unit_circle_grid(512)
-        rows = []
-        for n, lam in enumerate(seq.points, start=1):
-            row = math.sqrt(1.0 - abs(lam) ** 2) * _truncated_kernel(lam, grid)
-            for zero in seq.points[: n - 1]:
-                row = row * blaschke_factor(zero, grid)
-            rows.append(row)
-        assert np.array_equal(_element_rows(seq, range(1, 17), 512), np.array(rows))
+        # each row is its weighted truncated kernel times the running
+        # product B_{n-1}, multiplied in that order
+        rows = self.element_rows(seq, 512)
+        assert np.array_equal(_element_rows(seq, range(1, 17), 512), rows)
         # the Gram sums each column in one BLAS product, in another order
         # than the per-pair mean (worst gap measured: 6.7e-16)
         for i in range(16):
@@ -102,9 +96,26 @@ class TestGram:
                 assert abs(gram[i, j] - entry) <= 1e-15
                 assert gram[j, i] == np.conj(gram[i, j])
 
+    @staticmethod
+    def element_rows(seq, m):
+        grid = unit_circle_grid(m)
+        products = running_products(seq.points[:-1], grid)
+        return np.array([
+            math.sqrt(1.0 - abs(lam) ** 2) * _truncated_kernel(lam, grid) * product
+            for lam, product in zip(seq.points, products)
+        ])
+
+    def test_sparse_support_rows_are_the_full_rows(self):
+        # the witness's support skips indices; its rows are those of the
+        # full range bit for bit
+        seq = make_sequence("harmonic-shifted", 11)
+        support = [2, 3, 5, 11]
+        rows = _element_rows(seq, support, 512)
+        assert np.array_equal(rows, self.element_rows(seq, 512)[[n - 1 for n in support]])
+
     @pytest.mark.parametrize("theta", [0.4, 1.3, 2.9])
     def test_identity_at_k64(self, theta):
-        # measured max|G - I|: 3.1e-15, 6.3e-15 and 4.9e-15
+        # measured max|G - I|: 2.9e-15, 6.3e-15 and 4.8e-15
         seq = make_sequence(f"harmonic:{theta}", 64)
         gram = gram_matrix(seq, 64, M)
         assert np.max(np.abs(gram - np.eye(64))) <= 1e-14
@@ -166,15 +177,15 @@ class TestFunctionalNorm:
     @pytest.mark.parametrize("spec, rel", [
         ("harmonic", 1e-12),
         ("harmonic:1.3", 1e-12),
-        # 499 real zeros within 0.01 of z = 1, where the kernel peaks: the
-        # grid points' rounding off the circle moves every factor's modulus
-        # there the same way (measured 1.8e-12)
-        ("harmonic-shifted", 1e-11),
+        # lambda_500 = 0.998 puts the kernel's peak within 0.002 of z = 1;
+        # the quadrature sums no factor moduli, so only the kernel samples'
+        # rounding is left (measured 3.1e-14 at M = 2048, 2.2e-14 at 8192)
+        ("harmonic-shifted", 1e-12),
     ])
     def test_quadrature_is_the_truncated_kernel_norm(self, spec, rel, m):
         # |B_{n-1}| = 1 on the circle, so the quadrature is the norm of the
         # kernel truncated at M/2: sqrt(1 - |lambda|^M)/sqrt(1 - |lambda|^2)
-        # (measured relative gap at most 6.7e-14 on spread-out points)
+        # (measured relative gap at most 3.3e-14 on spread-out points)
         seq = make_sequence(spec, 500)
         for n in (1, 5, 98, 500):
             r = abs(seq.points[n - 1])
