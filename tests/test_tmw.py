@@ -70,7 +70,6 @@ class TestGram:
         import blaschke_basis.blaschke as blaschke_module
         import blaschke_basis.tmw as tmw_module
         from blaschke_basis.blaschke import blaschke_factor
-        from blaschke_basis.fnspace import unit_circle_grid
 
         calls = []
 
