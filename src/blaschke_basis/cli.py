@@ -1,16 +1,17 @@
 """Command-line driver: expansions, convergence tables, TMW diagnostics,
 selftest.
 
-Exit codes: 0 success, 2 usage or precondition violation, 3 numerical
-degradation. Data files are deterministic (12 significant digits, no
-timestamps); run metadata goes to a `<out>.meta.json` sidecar. The
-BLASCHKE_SAMPLES environment variable overrides the default sample count.
+The command line is the only input; each subcommand's parser holds its
+`--samples` and `--out` defaults. A data command's handler returns the data
+text, and `main` writes it with a `<out>.meta.json` sidecar (the parsed
+argv, the version, the creation time). Data files are deterministic (12
+significant digits, no timestamps). Exit codes: 0 success, 2 usage or
+precondition violation (an unwritable `--out` too), 3 numerical degradation.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -77,40 +78,23 @@ def parse_function_spec(text: str, sample_count: int) -> BoundaryFunction:
     )
 
 
-def _resolve_samples(flag_value: int | None, fallback: int) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get("BLASCHKE_SAMPLES")
-    if env is None:
-        return fallback
-    try:
-        return int(env)
-    except ValueError:
-        raise PreconditionError(f"BLASCHKE_SAMPLES: not an integer: {env!r}") from None
-
-
-def _add_common_flags(parser: argparse.ArgumentParser, default_samples: int | None = None) -> None:
+def _add_common_flags(parser: argparse.ArgumentParser, samples: int, out: str) -> None:
     parser.add_argument("--seq", required=True, help="sequence spec (harmonic[:theta], "
                         "harmonic-shifted, geometric:q, explicit:[z1,z2,...])")
-    parser.add_argument("--samples", type=int, default=default_samples,
-                        help="boundary sample count (power of two)")
-    parser.add_argument("--out", default=None, help="output path")
+    parser.add_argument("--samples", type=int, default=samples,
+                        help="boundary sample count (power of two, default %(default)s)")
+    parser.add_argument("--out", default=out, help="output path (default %(default)s)")
 
 
-def _cmd_expand(args) -> int:
-    samples = _resolve_samples(args.samples, DEFAULT_SAMPLE_COUNT)
-    f = parse_function_spec(args.func, samples)
+def _cmd_expand(args) -> str:
+    f = parse_function_spec(args.func, args.samples)
     seq = make_sequence(args.seq, args.nterms)
     result = expansion_coefficients(f, seq, args.nterms, function_label=args.func)
-    out = args.out or "expansion.json"
-    write_with_sidecar(out, dumps_canonical(result.to_jsonable()), sys.argv[1:], __version__)
-    print(out)
-    return 0
+    return dumps_canonical(result.to_jsonable())
 
 
-def _cmd_convergence(args) -> int:
-    samples = _resolve_samples(args.samples, DEFAULT_SAMPLE_COUNT)
-    f = parse_function_spec(args.func, samples)
+def _cmd_convergence(args) -> str:
+    f = parse_function_spec(args.func, args.samples)
     seq = make_sequence(args.seq, args.nterms)
     specs = [NormSpec.parse(part) for part in args.norms.split(",")]
     kernel_alpha = None
@@ -120,61 +104,41 @@ def _cmd_convergence(args) -> int:
         if not args.func.startswith("kernel:"):
             raise PreconditionError("--bound kernel requires --func kernel:<point>")
         kernel_alpha = _parse_func_complex(args.func.partition(":")[2])
-    table = convergence_study(f, seq, args.nterms, specs, kernel_alpha=kernel_alpha)
-    out = args.out or "convergence.csv"
-    write_with_sidecar(out, table.to_csv(), sys.argv[1:], __version__)
-    print(out)
-    return 0
+    return convergence_study(f, seq, args.nterms, specs, kernel_alpha=kernel_alpha).to_csv()
 
 
-def _cmd_tmw(args) -> int:
-    samples = _resolve_samples(args.samples, DEFAULT_TMW_SAMPLE_COUNT)
-    if args.tmw_command == "gram":
-        seq = make_sequence(args.seq, args.k)
-        gram = gram_matrix(seq, args.k, samples)
-        deviation = np.abs(gram - np.eye(args.k))
-        off_diagonal = deviation.copy()
-        np.fill_diagonal(off_diagonal, 0.0)
-        payload = {
-            "k": args.k,
-            "sample_count": samples,
-            "max_identity_deviation": float(np.max(deviation)),
-            "max_offdiagonal": float(np.max(off_diagonal)) if args.k > 1 else 0.0,
-            "matrix": gram.view(float).reshape(args.k, args.k, 2).tolist(),
-        }
-        out = args.out or "gram.json"
-    elif args.tmw_command == "functional":
-        seq = make_sequence(args.seq, args.n)
-        report = functional_norm(seq, args.n, samples)
-        lam = seq.points[args.n - 1]
-        payload = {
-            "n": args.n,
-            "lambda": [float(lam.real), float(lam.imag)],
-            "quadrature": report.quadrature,
-            "closed_form": report.closed_form,
-        }
-        out = args.out or "functional.json"
-    else:
-        seq = make_sequence(args.seq, args.kmax)
-        try:
-            support = args.support if args.support == "pow2" else [
-                int(part) for part in args.support.split(",")
-            ]
-        except ValueError:
-            raise PreconditionError(
-                f"--support: expected 'pow2' or comma-separated indices, got {args.support!r}"
-            ) from None
-        report = lacunary_witness(seq, args.kmax, exponent=args.exponent,
-                                  support=support, sample_count=samples)
-        payload = report.to_jsonable()
-        out = args.out or "witness.json"
-    write_with_sidecar(out, dumps_canonical(payload), sys.argv[1:], __version__)
-    print(out)
-    return 0
+def _cmd_gram(args) -> str:
+    seq = make_sequence(args.seq, args.k)
+    gram = gram_matrix(seq, args.k, args.samples)
+    deviation = np.abs(gram - np.eye(args.k))
+    off_diagonal = deviation.copy()
+    np.fill_diagonal(off_diagonal, 0.0)
+    return dumps_canonical({
+        "k": args.k,
+        "sample_count": args.samples,
+        "max_identity_deviation": float(np.max(deviation)),
+        "max_offdiagonal": float(np.max(off_diagonal)) if args.k > 1 else 0.0,
+        "matrix": gram.view(float).reshape(args.k, args.k, 2).tolist(),
+    })
 
 
-def _cmd_selftest(args) -> int:
-    return run_selftest(sample_count=args.samples, module_filter=args.filter)
+def _cmd_functional(args) -> str:
+    seq = make_sequence(args.seq, args.n)
+    report = functional_norm(seq, args.n, args.samples)
+    lam = seq.points[args.n - 1]
+    return dumps_canonical({
+        "n": args.n,
+        "lambda": [float(lam.real), float(lam.imag)],
+        "quadrature": report.quadrature,
+        "closed_form": report.closed_form,
+    })
+
+
+def _cmd_witness(args) -> str:
+    seq = make_sequence(args.seq, args.kmax)
+    report = lacunary_witness(seq, args.kmax, exponent=args.exponent,
+                              support=args.support, sample_count=args.samples)
+    return dumps_canonical(report.to_jsonable())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -191,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="function spec (poly:a0,a1,... | kernel:a | "
                              "blaschke:z1;z2 | ratgeo:c | file:PATH)")
     expand.add_argument("--nterms", type=int, required=True, help="number of coefficients")
-    _add_common_flags(expand)
+    _add_common_flags(expand, DEFAULT_SAMPLE_COUNT, "expansion.json")
     expand.set_defaults(handler=_cmd_expand)
 
     conv = commands.add_parser("convergence", help="tabulate residual norms")
@@ -202,47 +166,55 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--bound", default=None,
                       help="emit the closed remainder bound column ('kernel'; "
                            "requires a kernel function)")
-    _add_common_flags(conv)
+    _add_common_flags(conv, DEFAULT_SAMPLE_COUNT, "convergence.csv")
     conv.set_defaults(handler=_cmd_convergence)
 
     tmw_cmd = commands.add_parser("tmw", help="orthonormal-system diagnostics")
     tmw_sub = tmw_cmd.add_subparsers(dest="tmw_command", required=True)
     gram = tmw_sub.add_parser("gram", help="Gram matrix of the first k elements")
     gram.add_argument("--k", type=int, required=True)
-    _add_common_flags(gram)
-    gram.set_defaults(handler=_cmd_tmw)
+    _add_common_flags(gram, DEFAULT_TMW_SAMPLE_COUNT, "gram.json")
+    gram.set_defaults(handler=_cmd_gram)
     functional = tmw_sub.add_parser("functional", help="evaluation-functional norm")
     functional.add_argument("--n", type=int, required=True)
-    _add_common_flags(functional)
-    functional.set_defaults(handler=_cmd_tmw)
+    _add_common_flags(functional, DEFAULT_TMW_SAMPLE_COUNT, "functional.json")
+    functional.set_defaults(handler=_cmd_functional)
     witness = tmw_sub.add_parser("witness", help="lacunary growth witness")
     witness.add_argument("--support", default="pow2",
                          help="'pow2' or comma-separated indices")
     witness.add_argument("--kmax", type=int, required=True)
     witness.add_argument("--exponent", type=float, default=0.25)
-    _add_common_flags(witness)
-    witness.set_defaults(handler=_cmd_tmw)
+    _add_common_flags(witness, DEFAULT_TMW_SAMPLE_COUNT, "witness.json")
+    witness.set_defaults(handler=_cmd_witness)
 
     selftest = commands.add_parser("selftest", help="run the invariant suite")
     selftest.add_argument("--samples", type=int, default=None,
                           help="override every check's sample count")
     selftest.add_argument("--filter", default=None, choices=MODULE_NAMES,
                           help="run only one module's invariants")
-    selftest.set_defaults(handler=_cmd_selftest)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        if args.command == "selftest":
+            return run_selftest(sample_count=args.samples, module_filter=args.filter)
+        text = args.handler(args)
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AnalyticityError as exc:
         print(f"numerical degradation: {exc}", file=sys.stderr)
         return 3
+    try:
+        write_with_sidecar(args.out, text, argv, __version__)
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    print(args.out)
+    return 0
 
 
 if __name__ == "__main__":

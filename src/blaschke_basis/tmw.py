@@ -171,19 +171,25 @@ class LacunaryWitness:
 
 
 def resolve_support(support, k_max: int) -> list[int]:
-    """Expand a support spec: "pow2" gives the powers of two 2,4,8,..<=k_max,
-    otherwise a sorted list of distinct indices within 1..k_max."""
+    """Expand a support spec: "pow2" gives the powers of two 2,4,8,..<=k_max;
+    indices, as a list or as comma-separated text ("2,3,5"), give a sorted
+    list of distinct indices within 1..k_max."""
     if isinstance(support, str):
-        if support != "pow2":
-            raise PreconditionError(f"unknown support spec: {support!r}")
-        indices = []
-        value = 2
-        while value <= k_max:
-            indices.append(value)
-            value *= 2
-        if not indices:
-            raise PreconditionError(f"no powers of two within 1..{k_max}")
-        return indices
+        if support == "pow2":
+            indices = []
+            value = 2
+            while value <= k_max:
+                indices.append(value)
+                value *= 2
+            if not indices:
+                raise PreconditionError(f"no powers of two within 1..{k_max}")
+            return indices
+        try:
+            support = [int(part) for part in support.split(",")]
+        except ValueError:
+            raise PreconditionError(
+                f"unknown support spec {support!r}: expected 'pow2' or comma-separated indices"
+            ) from None
     indices = sorted({int(i) for i in support})
     if not indices:
         raise PreconditionError("empty witness support")

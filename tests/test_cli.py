@@ -84,12 +84,29 @@ class TestExpand:
         b = json.loads(out2.read_text())["coefficients"]
         assert np.allclose(a, b, atol=1e-12)
 
-    def test_env_var_overrides_samples(self, tmp_path, monkeypatch):
+    def test_parser_defaults_are_the_only_defaults(self, tmp_path, monkeypatch, capsys):
+        # --samples defaults to 2048 for expand and 8192 for tmw, --out to a
+        # fixed name in the working directory; the environment is not read
+        monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("BLASCHKE_SAMPLES", "512")
-        out = tmp_path / "e.json"
         assert run_cli("expand", "--func", "poly:1", "--seq", "harmonic-shifted",
-                       "--nterms", "2", "--out", str(out)) == 0
-        assert json.loads(out.read_text())["meta"]["sample_count"] == 512
+                       "--nterms", "2") == 0
+        assert json.loads((tmp_path / "expansion.json").read_text())["meta"]["sample_count"] == 2048
+        assert run_cli("tmw", "gram", "--k", "2", "--seq", "harmonic") == 0
+        assert json.loads((tmp_path / "gram.json").read_text())["sample_count"] == 8192
+        assert capsys.readouterr().out == "expansion.json\ngram.json\n"
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_output_is_a_usage_error(self, tmp_path, capsys, where):
+        out = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+        code = run_cli("expand", "--func", "poly:1", "--seq", "harmonic", "--nterms", "2",
+                       "--out", str(out))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConvergence:

@@ -269,6 +269,12 @@ class TestSupportResolution:
     def test_explicit_sorted_deduped(self):
         assert resolve_support([8, 2, 2, 4], 8) == [2, 4, 8]
 
+    def test_comma_separated_text(self):
+        assert resolve_support("11,2,3,5,3", 16) == [2, 3, 5, 11]
+        for text in ("2,x", "2,,3", ""):
+            with pytest.raises(PreconditionError, match="comma-separated indices"):
+                resolve_support(text, 16)
+
     def test_unknown_string(self):
         with pytest.raises(PreconditionError):
             resolve_support("fib", 8)

@@ -17,13 +17,13 @@ imported from the `src/` next to this script.
 
 To check a change, copy this script into a checkout of the earlier commit,
 run it there with `--save DIR`, then run it here with `--against DIR`. The
-comparison parses the numbers of both sides' JSON and CSV files. A changed
-cell passes when it moves by at most one unit in its 12th significant digit
-(the printed precision) or by 1e-14 * sup|f|, whichever is larger, where f
-is the command's `--func` input; the TMW commands, which have none, use the
-unit H^2 norm of the TMW elements as the scale. Everything else must match
-exactly: the files' structure and text, and each failing command's exit code
-and stderr. For the kernel expansions, the witnesses, the functional and the
+comparison parses the numbers of both sides' JSON and CSV files as exact
+decimals. A changed cell passes when it moves by at most one unit in its
+12th significant digit (the printed precision) or by 1e-14 * sup|f|,
+whichever is larger, where f is the command's `--func` input; the TMW
+commands, which have none, use the unit H^2 norm of the TMW elements as the
+scale. Everything else must match exactly: the files' structure and text,
+and each failing command's exit code and stderr. For the kernel expansions, the witnesses, the functional and the
 Gram matrices each side's gap to the closed form of `tests/oracle.py` is
 printed as well, and it must not grow by more than one print unit. One line
 per command names its worst cell; the exit code is 0 only if every command
@@ -42,13 +42,13 @@ import os
 import shlex
 import sys
 import tempfile
+from decimal import Decimal
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from blaschke_basis import cli  # noqa: E402
 from blaschke_basis.blaschke import make_sequence, parse_complex  # noqa: E402
-from blaschke_basis.fnspace import DEFAULT_SAMPLE_COUNT  # noqa: E402
 
 #: Commands that write a data file, which is named by the last argument.
 DATA_COMMANDS = [
@@ -118,16 +118,21 @@ def print_unit(x: float) -> float:
     return 10.0 ** (math.floor(math.log10(abs(x))) - 11) if x else 0.0
 
 
+def cell_unit(x: Decimal) -> Decimal:
+    """One unit in the 12th significant digit of a printed cell, exactly."""
+    return Decimal(1).scaleb(x.adjusted() - 11) if x else Decimal(0)
+
+
 def cells(name: str, payload: bytes) -> list[tuple[str, object]]:
     """(path, value) for every leaf of a JSON file or cell of a CSV file;
-    numbers are floats, everything else stays text."""
+    numbers are the exact decimals printed, everything else stays text."""
     text = payload.decode("utf-8")
     if name.endswith(".csv"):
         rows = [line.split(",") for line in text.splitlines()]
         header = rows[0]
         found = [("header", ",".join(header))]
         for row in rows[1:]:
-            found += [(f"n={row[0]}:{label}", float(cell)) for label, cell in zip(header, row)]
+            found += [(f"n={row[0]}:{label}", Decimal(cell)) for label, cell in zip(header, row)]
             found.append((f"n={row[0]}:width", len(row)))
         return found
 
@@ -142,12 +147,12 @@ def cells(name: str, payload: bytes) -> list[tuple[str, object]]:
             found.append((path + ":len", len(node)))
             for index, value in enumerate(node):
                 walk(f"{path}[{index}]", value)
-        elif isinstance(node, (int, float)) and not isinstance(node, bool):
-            found.append((path, float(node)))
+        elif isinstance(node, (int, Decimal)) and not isinstance(node, bool):
+            found.append((path, Decimal(node)))
         else:
             found.append((path, node))
 
-    walk("", json.loads(text))
+    walk("", json.loads(text, parse_float=Decimal))
     return found
 
 
@@ -156,8 +161,7 @@ def function_scale(argv: list[str]) -> float:
     args = cli.build_parser().parse_args(argv)
     if not getattr(args, "func", None):
         return 1.0
-    samples = args.samples or DEFAULT_SAMPLE_COUNT
-    return float(max(abs(cli.parse_function_spec(args.func, samples).samples)))
+    return float(max(abs(cli.parse_function_spec(args.func, args.samples).samples)))
 
 
 def closed_form_gap(argv: list[str], payload: bytes) -> tuple[float, float] | None:
@@ -205,23 +209,22 @@ def compare(command: str, here: tuple[int, bytes], saved: tuple[int, bytes]) -> 
     if [path for path, _ in mine] != [path for path, _ in theirs]:
         return False, ["structure differs"]
     scale = function_scale(argv)
-    ok, changed, worst = True, 0, (0.0, "", 0.0, 0.0, 0.0)
+    ok, changed, worst = True, 0, (Decimal(0), "", 0, 0, 0)
     for (path, value), (_, before) in zip(mine, theirs):
         if value == before:
             continue
         changed += 1
-        if not (isinstance(value, float) and isinstance(before, float)):
+        if not all(isinstance(x, Decimal) and x.is_finite() for x in (value, before)):
             return False, [f"{path}: {before!r} -> {value!r}"]
-        tolerance = max(print_unit(max(abs(value), abs(before))), SCALE_RTOL * scale)
+        tolerance = max(cell_unit(max(abs(value), abs(before))), Decimal(SCALE_RTOL * scale))
         ratio = abs(value - before) / tolerance
-        # the cells are decimal, so a one-unit move reads 1 only up to binary roundoff
-        ok &= ratio <= 1.0 + 1e-9
+        ok &= ratio <= 1
         if ratio >= worst[0]:
             worst = (ratio, path, before, value, tolerance)
     lines = [f"{changed} of {len(mine)} cells changed"]
     if changed:
         ratio, path, before, value, tolerance = worst
-        lines[0] += (f"; worst {path}: {before!r} -> {value!r}, |d| {abs(value - before):.3g} "
+        lines[0] += (f"; worst {path}: {before} -> {value}, |d| {abs(value - before):.3g} "
                      f"vs {tolerance:.3g} ({ratio:.2f} of it; sup|f| {scale:.6g})")
     gaps = closed_form_gap(argv, payload), closed_form_gap(argv, saved_payload)
     if gaps[0] is not None:
