@@ -17,7 +17,6 @@ from .blaschke import (
 from .errors import AnalyticityError, PreconditionError
 from .fnspace import (
     BoundaryFunction,
-    DiskPoint,
     dilate,
     eval_inside,
     from_samples,
@@ -49,7 +48,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalyticityError",
     "BoundaryFunction",
-    "DiskPoint",
     "ExpansionResult",
     "FiniteBlaschkeProduct",
     "NormSpec",

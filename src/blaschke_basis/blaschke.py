@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AnalyticityError, PreconditionError
+from .errors import PreconditionError
 from .fnspace import (
+    BOUNDARY_GUARD,
     UNBOUNDED_RADIUS,
     BoundaryFunction,
+    disk_points,
     from_samples,
     from_taylor,
     point_value,
@@ -34,17 +36,17 @@ DISTINCTNESS_TOL = 1e-10
 #: avoids accidental near-duplicates on a ray.
 GOLDEN_ANGLE = 2.0 * math.pi * (1.0 - 2.0 / (1.0 + math.sqrt(5.0)))
 
-_DENOMINATOR_FLOOR = 1e-14
-
 
 class SequenceKind(enum.Enum):
     BLASCHKE = "blaschke"
     NON_BLASCHKE = "non-blaschke"
 
 
-def pole_radius(lam) -> float:
-    """Modulus of the pole 1/conj(lam) introduced by a factor or kernel."""
-    modulus = abs(complex(lam))
+def pole_radius(points) -> float:
+    """Modulus 1/max|p| of the nearest pole 1/conj(p) that the factors or
+    kernels at `points` introduce; UNBOUNDED_RADIUS when there are none or
+    all are 0."""
+    modulus = max(map(abs, points), default=0.0)
     return 1.0 / modulus if modulus > 0.0 else UNBOUNDED_RADIUS
 
 
@@ -94,7 +96,7 @@ class PointSequence:
     modulus_to_one: bool = False
 
     def __post_init__(self) -> None:
-        points = np.array([point_value(p) for p in np.atleast_1d(self.points)], dtype=complex)
+        points = disk_points(np.atleast_1d(self.points))
         if points.size == 0:
             raise PreconditionError("a point sequence needs at least one point")
         duplicate = _closest_duplicate(points)
@@ -123,12 +125,10 @@ class PointSequence:
 class FiniteBlaschkeProduct:
     """A product of Blaschke factors; empty zeros mean the constant 1."""
 
-    zeros: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=complex))
+    zeros: np.ndarray = ()
 
     def __post_init__(self) -> None:
-        zeros = np.array(
-            [point_value(z) for z in np.atleast_1d(self.zeros)], dtype=complex
-        ) if np.size(self.zeros) else np.empty(0, dtype=complex)
+        zeros = disk_points(np.atleast_1d(self.zeros))
         zeros.setflags(write=False)
         object.__setattr__(self, "zeros", zeros)
 
@@ -137,27 +137,45 @@ class FiniteBlaschkeProduct:
         return int(self.zeros.size)
 
 
+def _factor(lam: complex, z: np.ndarray) -> np.ndarray:
+    # b_lambda(z) with no checks, for callers that validated lambda and z
+    # once. The operand order fixes the rounding of every result; the
+    # denominator comes first, so at most two grid arrays are alive at once.
+    denom = 1.0 - np.conj(lam) * z
+    out = lam - z
+    out /= denom
+    return out
+
+
+def _closed_disk(z) -> np.ndarray:
+    """z as a complex array, checked to lie in the closed unit disk; NaN
+    fails. |z| <= 1 + BOUNDARY_GUARD/2 admits the rounded roots of unity and
+    keeps |1 - conj(lambda) z| > BOUNDARY_GUARD/2 for every disk point."""
+    z = np.asarray(z, dtype=complex)
+    modulus = float(np.abs(z).max(initial=0.0))
+    if not modulus <= 1.0 + BOUNDARY_GUARD / 2:
+        raise PreconditionError(
+            f"evaluation points reach modulus {modulus:.17g} > 1 + {BOUNDARY_GUARD / 2:g}; "
+            "factors are evaluated on the closed unit disk"
+        )
+    return z
+
+
 def blaschke_factor(lam, z) -> complex | np.ndarray:
     """b_lambda(z) = (lambda - z)/(1 - conj(lambda) z) for |z| <= 1.
 
-    Vectorized over z. The denominator cannot degenerate for lambda kept
-    inside the guarded disk, but is asserted anyway.
+    Vectorized over z. For a disk point lambda and z in the closed disk the
+    denominator |1 - conj(lambda) z| >= 1 - |lambda| |z| stays above
+    BOUNDARY_GUARD/2, so only the two inputs are checked.
     """
-    lam = point_value(lam)
-    z = np.asarray(z, dtype=complex)
-    denom = 1.0 - np.conj(lam) * z
-    if np.min(np.abs(denom)) < _DENOMINATOR_FLOOR:
-        raise AnalyticityError(
-            f"degenerate factor denominator |1 - conj(lambda) z| < {_DENOMINATOR_FLOOR:g}"
-        )
-    out = lam - z
-    out /= denom  # in place: one grid-sized result, no temporary
+    out = _factor(point_value(lam), _closed_disk(z))
     return out if out.ndim else complex(out)
 
 
 def running_products(zeros, z):
     """Yield B_0(z), B_1(z), ..., B_n(z) for the prefixes of `zeros`,
-    multiplying in one factor per step (vectorized over z of any shape).
+    multiplying in one factor per step (vectorized over z of any shape in
+    the closed disk).
 
     Every product the library evaluates is formed here or, where only its
     modulus is needed (the Bergman rings), in `running_squared_moduli`
@@ -165,16 +183,18 @@ def running_products(zeros, z):
     independent oracles (triangular reconstruction, the selftest span
     builder) multiply their own. The TMW elements of the Gram matrix, the
     witness and `tmw_element` read one stream, each taking B_{n-1} as the
-    stream passes it. The expansion's identity-gap check and partial sums
-    form no product at all: they evaluate sum c_n B_n in nested form, from
-    the last factor back to the first.
+    stream passes it. The expansion's identity pass and partial sums form
+    no product at all: `nested_sum` evaluates sum c_n B_n in nested form,
+    from the last factor back to the first. All three check their zeros
+    and points once per call and then loop over the unchecked factor.
     """
-    z = np.asarray(z, dtype=complex)
+    zeros = disk_points(zeros)
+    z = _closed_disk(z)
     # each step replaces the running product, so no earlier product stays alive
     product = np.ones_like(z)
     yield product
-    for zero in zeros:
-        product = product * blaschke_factor(zero, z)
+    for lam in zeros:
+        product = product * _factor(lam, z)
         yield product
 
 
@@ -194,15 +214,15 @@ def running_squared_moduli(zeros, z):
     Its caller is the Bergman ring quadrature, on circles inside the disk;
     on the unit circle itself |B_n| = 1 and no pass is needed.
     """
-    z = np.asarray(z, dtype=complex)
+    zeros = disk_points(zeros)
+    z = _closed_disk(z)
     x, y = z.real.copy(), z.imag.copy()
     del z  # the coordinates are all the steps read
     inside = 1.0 - (x * x + y * y)
     distance, denom = np.empty_like(x), np.empty_like(x)
     moduli = np.ones_like(x)
     yield moduli
-    for zero in zeros:
-        lam = point_value(zero)
+    for lam in zeros:
         np.subtract(lam.real, x, out=distance)
         distance *= distance
         np.subtract(lam.imag, y, out=denom)
@@ -210,14 +230,20 @@ def running_squared_moduli(zeros, z):
         distance += denom
         np.multiply(inside, 1.0 - abs(lam) ** 2, out=denom)
         denom += distance
-        # the same floor as blaschke_factor's |1 - conj(lambda) z|, squared
-        if np.min(denom) < _DENOMINATOR_FLOOR ** 2:
-            raise AnalyticityError(
-                f"degenerate factor denominator |1 - conj(lambda) z| < {_DENOMINATOR_FLOOR:g}"
-            )
         distance /= denom
         moduli *= distance
         yield moduli
+
+
+def nested_sum(points, coefficients, tail: np.ndarray) -> np.ndarray:
+    """sum_{k<N} c_k B_k + tail * B_N on the grid of len(tail) roots of
+    unity, N = len(points), in place in `tail` as
+    c_0 + b_1 (c_1 + ... + b_N tail), from the last factor back."""
+    grid = unit_circle_grid(tail.size)
+    for lam, c in zip(disk_points(points)[::-1], coefficients[::-1]):
+        tail *= _factor(lam, grid)
+        tail += c
+    return tail
 
 
 def product_eval(product: FiniteBlaschkeProduct, z) -> complex | np.ndarray:
@@ -239,8 +265,7 @@ def product_as_function(product: FiniteBlaschkeProduct, sample_count: int) -> Bo
             f"degree {product.degree} exceeds sample_count/4 = {sample_count // 4}"
         )
     values = product_eval(product, unit_circle_grid(sample_count))
-    radius = min((pole_radius(z) for z in product.zeros), default=UNBOUNDED_RADIUS)
-    return from_samples(values, radius, scale_floor=1.0)
+    return from_samples(values, pole_radius(product.zeros), scale_floor=1.0)
 
 
 def cauchy_kernel(lam, sample_count: int) -> BoundaryFunction:
@@ -251,7 +276,7 @@ def cauchy_kernel(lam, sample_count: int) -> BoundaryFunction:
     """
     lam = point_value(lam)
     coeffs = np.conj(lam) ** np.arange(sample_count // 2, dtype=float)
-    return from_taylor(coeffs, sample_count, pole_radius(lam))
+    return from_taylor(coeffs, sample_count, pole_radius([lam]))
 
 
 def _parse_float(text: str, what: str) -> float:

@@ -22,7 +22,6 @@ from .blaschke import (
     cauchy_kernel,
     make_sequence,
     parse_complex,
-    pole_radius,
     product_as_function,
 )
 from .errors import AnalyticityError, PreconditionError
@@ -32,6 +31,10 @@ from .schauder import convergence_study, expansion_coefficients
 from .selftest import MODULE_NAMES, run_selftest
 from .serialize import dumps_canonical, write_with_sidecar
 from .tmw import DEFAULT_TMW_SAMPLE_COUNT, functional_norm, gram_matrix, lacunary_witness
+
+#: A Gram matrix farther than this from the identity (max |G - I|) means the
+#: grid under-resolves the TMW elements: exit 3. Resolved grids read ~1e-14.
+GRAM_IDENTITY_TOL = 1e-10
 
 
 def _parse_func_complex(text: str) -> complex:
@@ -47,7 +50,7 @@ def parse_function_spec(text: str, sample_count: int) -> BoundaryFunction:
     poly:a0,a1,...   polynomial with the given (complex) coefficients
     kernel:a         the Cauchy kernel at the point a
     blaschke:z1;z2   finite Blaschke product with the given zeros
-    ratgeo:c         the geometric series 1/(1 - c z)
+    ratgeo:c         the geometric series 1/(1 - c z): the kernel at conj(c)
     file:PATH        JSON {sample_count, analytic_radius, taylor} object
     """
     kind, _, body = text.partition(":")
@@ -60,9 +63,7 @@ def parse_function_spec(text: str, sample_count: int) -> BoundaryFunction:
         zeros = [_parse_func_complex(part) for part in body.split(";")]
         return product_as_function(FiniteBlaschkeProduct(np.array(zeros)), sample_count)
     if kind == "ratgeo" and body:
-        c = _parse_func_complex(body)
-        coeffs = c ** np.arange(sample_count // 2, dtype=float)
-        return from_taylor(coeffs, sample_count, pole_radius(c))
+        return cauchy_kernel(_parse_func_complex(body).conjugate(), sample_count)
     if kind == "file" and body:
         import json
 
@@ -111,12 +112,18 @@ def _cmd_gram(args) -> str:
     seq = make_sequence(args.seq, args.k)
     gram = gram_matrix(seq, args.k, args.samples)
     deviation = np.abs(gram - np.eye(args.k))
+    worst = float(np.max(deviation))
+    if not worst <= GRAM_IDENTITY_TOL:
+        raise AnalyticityError(
+            f"Gram matrix of k={args.k} elements deviates from the identity by {worst:.3e} "
+            f"> {GRAM_IDENTITY_TOL:g} at M={args.samples}; increase --samples"
+        )
     off_diagonal = deviation.copy()
     np.fill_diagonal(off_diagonal, 0.0)
     return dumps_canonical({
         "k": args.k,
         "sample_count": args.samples,
-        "max_identity_deviation": float(np.max(deviation)),
+        "max_identity_deviation": worst,
         "max_offdiagonal": float(np.max(off_diagonal)) if args.k > 1 else 0.0,
         "matrix": gram.view(float).reshape(args.k, args.k, 2).tolist(),
     })

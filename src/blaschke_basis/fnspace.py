@@ -72,26 +72,26 @@ def unit_circle_grid(sample_count: int) -> np.ndarray:
     return grid
 
 
-@dataclass(frozen=True)
-class DiskPoint:
-    """A point of the open unit disk, kept BOUNDARY_GUARD away from the circle."""
-
-    value: complex
-
-    def __post_init__(self) -> None:
-        value = complex(self.value)
-        if not abs(value) <= 1.0 - BOUNDARY_GUARD:
-            raise PreconditionError(
-                f"point {value} has modulus {abs(value):.17g} > 1 - {BOUNDARY_GUARD:g}"
-            )
-        object.__setattr__(self, "value", value)
-
-
 def point_value(point) -> complex:
-    """Coerce a DiskPoint or bare number to a validated complex disk point."""
-    if isinstance(point, DiskPoint):
-        return point.value
-    return DiskPoint(complex(point)).value
+    """One point of the open unit disk kept BOUNDARY_GUARD away from the
+    circle, as a complex number; anything else (NaN and inf included)
+    raises PreconditionError. The scalar form of `disk_points`."""
+    value = complex(point)
+    if not abs(value) <= 1.0 - BOUNDARY_GUARD:
+        raise PreconditionError(
+            f"point {value} has modulus {abs(value):.17g} > 1 - {BOUNDARY_GUARD:g}"
+        )
+    return value
+
+
+def disk_points(values) -> np.ndarray:
+    """`values` as a fresh complex array of disk points, each checked as
+    `point_value` checks one; the first that fails raises."""
+    points = np.array(values, dtype=complex)
+    outside = ~(np.abs(points) <= 1.0 - BOUNDARY_GUARD)
+    if np.any(outside):
+        point_value(points[outside].flat[0])  # raises, naming the first offender
+    return points
 
 
 def _synthesize(taylor: np.ndarray, live: int, out: np.ndarray | None = None) -> np.ndarray:

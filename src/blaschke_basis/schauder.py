@@ -13,9 +13,10 @@ second term carries the empty product of index -1, taken as 0). Residual
 norms are computed from the closed form for R_N, whose modulus on the
 circle equals |h_N + constant| because |B_N| = 1 there; the drift between
 f and S_N f + R_N f, evaluated on the grid in nested form
-c_0 + b_1 (c_1 + b_2 (... + b_N (shift + h_N))), is tracked separately as
-remainder_identity_gap, a cross-check of the coefficient chain by a route
-that shares no arithmetic with it (partial sums take a zero tail there).
+c_0 + b_1 (c_1 + b_2 (... + b_N (shift + h_N))) by `blaschke.nested_sum`,
+is tracked separately as remainder_identity_gap, a cross-check of the
+coefficient chain by a route that shares no arithmetic with it (partial
+sums take a zero tail there).
 
 Evaluating a candidate expansion at the sequence points yields a lower
 triangular linear system (column j is B_j at the points, zero once the
@@ -34,18 +35,13 @@ from .blaschke import (
     PointSequence,
     SequenceKind,
     blaschke_factor,
+    nested_sum,
     pole_radius,
     running_products,
     running_squared_moduli,
 )
 from .errors import AnalyticityError, PreconditionError
-from .fnspace import (
-    UNBOUNDED_RADIUS,
-    BoundaryFunction,
-    _synthesize,
-    from_samples,
-    unit_circle_grid,
-)
+from .fnspace import BoundaryFunction, _synthesize, from_samples, unit_circle_grid
 from .norms import DOMINATION_SLACK, EMBEDDING_CONSTANT, NormSpec, ring_sample_counts, sup_norm
 from .toeplitz import iterates
 
@@ -120,16 +116,6 @@ def _remainders(f: BoundaryFunction, points):
         yield value, shift, h, tail, float(np.max(np.abs(tail, out=magnitude)))
 
 
-def _nested_sum(points, coefficients, tail: np.ndarray) -> np.ndarray:
-    """sum_{k<N} c_k B_k + tail * B_N on the grid, N = len(points), in place in
-    `tail` as c_0 + b_1 (c_1 + ... + b_N tail), from the last factor back."""
-    grid = unit_circle_grid(tail.size)
-    for lam, c in zip(points[::-1], coefficients[::-1]):
-        tail *= blaschke_factor(lam, grid)
-        tail += c
-    return tail
-
-
 def expansion_coefficients(
     f: BoundaryFunction, seq: PointSequence, n_terms: int, function_label: str = ""
 ) -> ExpansionResult:
@@ -159,7 +145,7 @@ def expansion_coefficients(
 
     # the chain works on Taylor coefficients and this identity on the grid, so
     # the drift between them is measured by routes that share no arithmetic
-    identity = _nested_sum(points, coefficients, tail)
+    identity = nested_sum(points, coefficients, tail)
     identity -= f.samples
     gap = float(np.max(np.abs(identity)))
     scale = sup_norm(f)
@@ -178,10 +164,9 @@ def partial_sum(result: ExpansionResult, n: int, sample_count: int) -> BoundaryF
             f"partial-sum length {n} outside 0..{result.coefficients.size}"
         )
     points, coefficients = result.sequence.points[:n], result.coefficients[:n]
-    total = _nested_sum(points, coefficients, np.zeros(sample_count, dtype=complex))
-    radius = min((pole_radius(z) for z in points[:-1]), default=UNBOUNDED_RADIUS)
+    total = nested_sum(points, coefficients, np.zeros(sample_count, dtype=complex))
     scale = float(np.sum(np.abs(coefficients)))
-    return from_samples(total, radius, scale_floor=scale)
+    return from_samples(total, pole_radius(points[:-1]), scale_floor=scale)
 
 
 def triangular_reconstruct(f_values, seq: PointSequence) -> np.ndarray:

@@ -110,14 +110,16 @@ def check_dilation_pairing_symmetry(sample_count: int | None) -> None:
 
 
 def check_eval_matches_cauchy_pairing(sample_count: int | None) -> None:
+    # on the check's grid and on the coarse M = 512 grid
     m = sample_count or DEFAULT_SAMPLES
-    for label, f in reference_corpus(m)[:6]:
-        for z in reference_lambdas(5, radius=0.95, seed=_CORPUS_SEED + 7):
-            direct = eval_inside(f, z)
-            paired = pairing(f, cauchy_kernel(z, m))
-            assert abs(direct - paired) <= 1e-10 * max(abs(direct), 1.0), (
-                f"{label}: eval {direct} vs pairing {paired} at z={z}"
-            )
+    for grid_size in (m, 512):
+        for label, f in reference_corpus(grid_size)[:6]:
+            for z in reference_lambdas(5, radius=0.95, seed=_CORPUS_SEED + 7):
+                direct = eval_inside(f, z)
+                paired = pairing(f, cauchy_kernel(z, grid_size))
+                assert abs(direct - paired) <= 1e-10, (
+                    f"{label}: eval {direct} vs pairing {paired} at z={z}, M={grid_size}"
+                )
 
 
 # --- blaschke ----------------------------------------------------------------
@@ -132,23 +134,27 @@ def check_unimodularity(sample_count: int | None) -> None:
 
 
 def check_kernel_factor_identity(sample_count: int | None) -> None:
+    # on the circle and at interior points
     m = sample_count or DEFAULT_SAMPLES
-    grid = unit_circle_grid(m)
+    z = np.concatenate([unit_circle_grid(m), [0.0, 0.5, -0.3j],
+                        reference_lambdas(8, radius=0.95, seed=_CORPUS_SEED + 21)])
     for lam in reference_lambdas(8, radius=0.9, seed=_CORPUS_SEED + 8):
-        kernel_values = 1.0 / (1.0 - np.conj(lam) * grid)
-        identity = (1.0 - abs(lam) ** 2) * kernel_values + np.conj(lam) * blaschke.blaschke_factor(lam, grid)
+        kernel_values = 1.0 / (1.0 - np.conj(lam) * z)
+        identity = (1.0 - abs(lam) ** 2) * kernel_values + np.conj(lam) * blaschke.blaschke_factor(lam, z)
         worst = np.max(np.abs(identity - 1.0))
         assert worst <= 1e-13, f"kernel-factor identity off by {worst:.3e} at lambda={lam}"
 
 
 def check_product_multiplicativity(sample_count: int | None) -> None:
-    first = _reference_product(3, seed=_CORPUS_SEED + 9)
-    second = _reference_product(4, seed=_CORPUS_SEED + 10)
-    merged = FiniteBlaschkeProduct(np.concatenate([first.zeros, second.zeros]))
-    for z in reference_lambdas(10, radius=0.95, seed=_CORPUS_SEED + 11):
-        lhs = product_eval(merged, z)
-        rhs = product_eval(first, z) * product_eval(second, z)
-        assert abs(lhs - rhs) <= 1e-14, f"multiplicativity gap {abs(lhs - rhs):.3e}"
+    # a 3 + 4 split of the zeros, and a 2 + 4 split of other ones
+    for degrees, seed in (((3, 4), _CORPUS_SEED + 9), ((2, 4), _CORPUS_SEED + 22)):
+        first = _reference_product(degrees[0], seed=seed)
+        second = _reference_product(degrees[1], seed=seed + 1)
+        merged = FiniteBlaschkeProduct(np.concatenate([first.zeros, second.zeros]))
+        for z in reference_lambdas(10, radius=0.95, seed=_CORPUS_SEED + 11):
+            lhs = product_eval(merged, z)
+            rhs = product_eval(first, z) * product_eval(second, z)
+            assert abs(lhs - rhs) <= 1e-14, f"multiplicativity gap {abs(lhs - rhs):.3e}, split {degrees}"
 
 
 def check_product_function_agreement(sample_count: int | None) -> None:
@@ -242,22 +248,24 @@ def check_telescoping_identity(sample_count: int | None) -> None:
 
 
 def check_exactness_on_span(sample_count: int | None) -> None:
+    # spans of 6 and 5 elements, each expanded to twice its length
     m = sample_count or DEFAULT_SAMPLES
-    seq = make_sequence("harmonic-shifted", 12)
-    rng = np.random.default_rng(_CORPUS_SEED + 16)
-    gammas = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     grid = unit_circle_grid(m)
-    total = np.zeros(m, dtype=complex)
-    running = np.ones(m, dtype=complex)
-    for k, gamma in enumerate(gammas):
-        total = total + gamma * running
-        running = running * blaschke.blaschke_factor(seq.points[k], grid)
-    f = from_samples(total, 1.0, scale_floor=float(np.sum(np.abs(gammas))))
-    result = schauder.expansion_coefficients(f, seq, 12)
-    recovered = result.coefficients[:6]
-    assert np.max(np.abs(recovered - gammas)) <= 1e-9, "span coefficients not recovered"
-    assert np.max(np.abs(result.coefficients[6:])) <= 1e-9, "ghost coefficients beyond the span"
-    assert np.max(result.residual_sup_norms[5:]) <= 1e-9, "nonzero residual beyond the span"
+    for span, seed in ((6, _CORPUS_SEED + 16), (5, _CORPUS_SEED + 23)):
+        seq = make_sequence("harmonic-shifted", 2 * span)
+        rng = np.random.default_rng(seed)
+        gammas = rng.standard_normal(span) + 1j * rng.standard_normal(span)
+        total = np.zeros(m, dtype=complex)
+        running = np.ones(m, dtype=complex)
+        for k, gamma in enumerate(gammas):
+            total = total + gamma * running
+            running = running * blaschke.blaschke_factor(seq.points[k], grid)
+        f = from_samples(total, 1.0, scale_floor=float(np.sum(np.abs(gammas))))
+        result = schauder.expansion_coefficients(f, seq, 2 * span)
+        recovered = result.coefficients[:span]
+        assert np.max(np.abs(recovered - gammas)) <= 1e-9, f"span {span}: coefficients not recovered"
+        assert np.max(np.abs(result.coefficients[span:])) <= 1e-9, f"span {span}: ghost coefficients"
+        assert np.max(result.residual_sup_norms[span - 1:]) <= 1e-9, f"span {span}: nonzero residual"
 
 
 def check_uniqueness_round_trip(sample_count: int | None) -> None:

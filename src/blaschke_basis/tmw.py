@@ -99,8 +99,7 @@ def tmw_element(seq: PointSequence, n: int, sample_count: int) -> TMWElement:
     if not 1 <= n <= len(seq):
         raise PreconditionError(f"element index {n} outside 1..{len(seq)}")
     samples = _element_rows(seq, [n], sample_count)[0]
-    radius = min(pole_radius(p) for p in seq.points[:n])
-    return TMWElement(n, from_samples(samples, radius), seq)
+    return TMWElement(n, from_samples(samples, pole_radius(seq.points[:n])), seq)
 
 
 def gram_matrix(seq: PointSequence, k: int, sample_count: int) -> np.ndarray:
@@ -236,8 +235,7 @@ def lacunary_witness(
     total = np.zeros(sample_count, dtype=complex)
     for c, row in zip(coefficients, _element_rows(seq, indices, sample_count)):
         total += c * row
-    radius = min(pole_radius(p) for p in seq.points[: indices[-1]])
-    witness_fn = from_samples(total, radius)
+    witness_fn = from_samples(total, pole_radius(seq.points[: indices[-1]]))
 
     # the chain's own evaluations: step n yields iterate_{n-1} f (lambda_n);
     # the last is taken without building iterate_kmax, which no value reads

@@ -61,7 +61,7 @@ def zero_extraction_step(f: BoundaryFunction, lam) -> tuple[complex, BoundaryFun
     # Q has coefficients b_1, b_2, ..., so t_k = conj(lambda) b_k - b_{k+1}
     t = np.conj(lam) * b
     t[:-1] -= b[1:]
-    radius = min(f.analytic_radius, pole_radius(lam))
+    radius = min(f.analytic_radius, pole_radius([lam]))
     return complex(b[0]), from_taylor(t, f.sample_count, radius)
 
 

@@ -18,9 +18,9 @@ from blaschke_basis import (
     product_as_function,
     product_eval,
 )
-from blaschke_basis.blaschke import running_products, running_squared_moduli
-from blaschke_basis.errors import AnalyticityError
-from blaschke_basis.fnspace import unit_circle_grid
+from blaschke_basis import blaschke
+from blaschke_basis.blaschke import nested_sum, running_products, running_squared_moduli
+from blaschke_basis.fnspace import BOUNDARY_GUARD, unit_circle_grid
 from blaschke_basis.norms import bergman_radial_rule
 
 
@@ -70,15 +70,6 @@ class TestProductEval:
             assert value == pytest.approx(direct, abs=1e-15)
             assert value == pytest.approx(2.0 / (n + 2), abs=1e-14)
 
-    def test_multiplicativity(self):
-        rng = np.random.default_rng(8)
-        zeros = 0.7 * (rng.standard_normal(6) + 1j * rng.standard_normal(6)) / 3
-        combined = FiniteBlaschkeProduct(zeros)
-        first, second = FiniteBlaschkeProduct(zeros[:2]), FiniteBlaschkeProduct(zeros[2:])
-        for z in (0.3, -0.2 + 0.6j):
-            assert product_eval(combined, z) == pytest.approx(
-                product_eval(first, z) * product_eval(second, z), abs=1e-14
-            )
 
 
 class TestRunningSquaredModuli:
@@ -129,13 +120,74 @@ class TestRunningSquaredModuli:
         assert next(moduli) == pytest.approx([0.0, abs(lam) ** 2, 1.0], abs=1e-15)
 
     def test_degenerate_denominator_rejected(self):
-        # the floor cannot trip at |z| <= 1 for points inside the guard; at
-        # the pole z = 1/conj(lambda) both routes refuse
+        # the denominator cannot degenerate at |z| <= 1 for points inside the
+        # guard; the pole z = 1/conj(lambda) lies outside the closed disk,
+        # which both routes refuse
         lam, pole = 0.5, np.array([2.0])
-        with pytest.raises(AnalyticityError, match="degenerate factor denominator"):
+        with pytest.raises(PreconditionError, match="reach modulus 2 > 1 \\+ 5e-09"):
             list(running_squared_moduli([lam], pole))
-        with pytest.raises(AnalyticityError, match="degenerate factor denominator"):
+        with pytest.raises(PreconditionError, match="reach modulus 2 > 1 \\+ 5e-09"):
             blaschke_factor(lam, pole)
+
+
+class TestCheckedOncePerCall:
+    """Each factor loop checks its zeros and its points once, then runs the
+    unchecked factor."""
+
+    ZEROS = np.array([0.5, -0.3j])
+
+    @staticmethod
+    def evaluate(route, z):
+        zeros = TestCheckedOncePerCall.ZEROS
+        if route == "blaschke_factor":
+            return blaschke_factor(zeros[0], z)
+        if route == "running_products":
+            return list(running_products(zeros, z))
+        return list(running_squared_moduli(zeros, z))
+
+    @pytest.mark.parametrize("z", [1.5, np.nan, complex(0.1, np.nan), np.inf])
+    @pytest.mark.parametrize("route", ["blaschke_factor", "running_products",
+                                       "running_squared_moduli"])
+    def test_points_outside_the_closed_disk_rejected(self, route, z):
+        # before, a value (or a NaN) came back
+        points = np.array([0.2, z, 0.3j])
+        with pytest.raises(PreconditionError, match="factors are evaluated on the closed unit disk"):
+            self.evaluate(route, points)
+
+    @pytest.mark.parametrize("zero", [1.5, np.nan])
+    @pytest.mark.parametrize("route", ["running_products", "running_squared_moduli",
+                                       "nested_sum"])
+    def test_zeros_outside_the_guard_rejected(self, route, zero):
+        zeros = np.array([0.5, zero, 0.2j])
+        with pytest.raises(PreconditionError, match=r"point \(.*\) has modulus"):
+            if route == "nested_sum":
+                nested_sum(zeros, np.ones(3, dtype=complex), np.zeros(16, dtype=complex))
+            else:
+                list(getattr(blaschke, route)(zeros, 0.1))
+
+    def test_unit_grid_is_in_the_closed_disk(self):
+        # the rounded roots of unity exceed modulus 1 by at most 2.2e-16
+        for exponent in range(4, 18):
+            grid = unit_circle_grid(2 ** exponent)
+            assert float(np.max(np.abs(grid))) - 1.0 <= 2.3e-16
+            assert blaschke._closed_disk(grid) is grid
+
+    def test_closed_disk_slack_keeps_the_denominator_away_from_zero(self):
+        # the worst disk point against the worst admitted z: the denominator
+        # is about BOUNDARY_GUARD / 2 and the numerator 3 BOUNDARY_GUARD / 2
+        lam = 1.0 - BOUNDARY_GUARD
+        z = 1.0 + BOUNDARY_GUARD / 2
+        assert abs(1.0 - np.conj(lam) * z) >= BOUNDARY_GUARD / 2
+        assert blaschke_factor(lam, z) == pytest.approx(-3.0, abs=1e-6)
+
+    def test_nested_sum_matches_running_products(self):
+        zeros = np.array([0.5, -0.3j, 0.6 + 0.2j])
+        coefficients = np.array([1.0, 2.0 - 1j, 0.5j])
+        tail = np.full(64, 0.25 + 0j)
+        grid = unit_circle_grid(64)
+        products = list(running_products(zeros, grid))
+        expected = sum(c * b for c, b in zip(coefficients, products)) + 0.25 * products[-1]
+        assert np.max(np.abs(nested_sum(zeros, coefficients, tail) - expected)) <= 1e-14
 
 
 class TestProductAsFunction:
@@ -193,15 +245,6 @@ class TestCauchyKernel:
         f = cauchy_kernel(0.8, 2048)
         assert hardy_norm(f, 2) == pytest.approx(1.0 / np.sqrt(1 - 0.64), abs=1e-8)
 
-    def test_kernel_factor_identity(self):
-        # (1 - |lam|^2) k_lam + conj(lam) b_lam = 1 everywhere
-        lam = 0.6 + 0.25j
-        grid = unit_circle_grid(256)
-        for z in list(grid[:8]) + [0.0, 0.5, -0.3j]:
-            identity = (1 - abs(lam) ** 2) / (1 - np.conj(lam) * z) + np.conj(
-                lam
-            ) * blaschke_factor(lam, z)
-            assert identity == pytest.approx(1.0, abs=1e-13)
 
 
 class TestMakeSequence:

@@ -66,6 +66,29 @@ class TestExpand:
                            "--nterms", "12", "--out", str(out)) == 0
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize("point, message", [
+        # the series' dropped tail |c|^1024 is about 1: a degree-1023
+        # truncation was expanded with exit 0
+        ("0.99999999999", "point (0.99999999999-0j) has modulus 0.99999999999 > 1 - 1e-08"),
+        ("1.5", "point (1.5-0j) has modulus 1.5 > 1 - 1e-08"),
+    ])
+    def test_ratgeo_point_is_a_disk_point(self, tmp_path, capsys, point, message):
+        code = run_cli("expand", "--func", f"ratgeo:{point}", "--seq", "harmonic",
+                       "--nterms", "4", "--out", str(tmp_path / "no.json"))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_ratgeo_is_the_kernel_at_the_conjugate(self):
+        from blaschke_basis import cauchy_kernel
+        from blaschke_basis.cli import parse_function_spec
+
+        for c in (0.8, 0.5 - 0.3j, -0.9j):
+            for m in (2048, 8192):
+                f = parse_function_spec(f"ratgeo:{c.real!r}{c.imag:+.17g}i", m)
+                geometric = np.complex128(c) ** np.arange(m // 2, dtype=float)
+                assert np.array_equal(f.taylor, geometric)
+                assert np.array_equal(f.taylor, cauchy_kernel(np.conj(c), m).taylor)
+
     def test_file_function_round_trip(self, tmp_path):
         out1 = tmp_path / "first.json"
         run_cli("expand", "--func", "ratgeo:0.5", "--seq", "harmonic-shifted",
@@ -200,6 +223,18 @@ class TestTmwCommands:
         assert obj["max_offdiagonal"] <= 1e-8
         assert obj["max_identity_deviation"] <= 1e-8
         assert len(obj["matrix"]) == 12
+
+    def test_under_resolved_gram_exits_3(self, tmp_path, capsys):
+        # at M = 2048 the 64 harmonic-shifted elements are under-resolved:
+        # max|G - I| = 0.299, which exited 0 with the deviation in the file
+        out = tmp_path / "g.json"
+        code = run_cli("tmw", "gram", "--k", "64", "--seq", "harmonic-shifted",
+                       "--samples", "2048", "--out", str(out))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "deviates from the identity by 2.990e-01 > 1e-10" in err
+        assert "k=64" in err and "M=2048" in err
+        assert not out.exists()
 
     def test_witness_values_increase(self, tmp_path):
         out = tmp_path / "w.json"

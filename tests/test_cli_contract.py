@@ -32,8 +32,8 @@ def test_sidecar_records_the_argv_main_parsed(contract, tmp_path, monkeypatch):
         meta = json.loads((tmp_path / f"{argv[-1]}.meta.json").read_text())
         assert meta["argv"] == argv
     for command in contract.FAILING_COMMANDS:
-        # the under-resolved witness is exit 3, the usage errors exit 2
-        expected = 3 if command.startswith("tmw witness") else 2
+        # the under-resolved witness and Gram matrix are exit 3, the usage errors exit 2
+        expected = 3 if command.startswith("tmw") else 2
         assert contract.run(command)[0] == expected, command
         assert not (tmp_path / shlex.split(command)[-1]).exists()
 

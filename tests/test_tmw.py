@@ -68,17 +68,16 @@ class TestGram:
 
     def test_each_factor_evaluated_once(self, monkeypatch):
         import blaschke_basis.blaschke as blaschke_module
-        import blaschke_basis.tmw as tmw_module
-        from blaschke_basis.blaschke import blaschke_factor
 
         calls = []
+        factor = blaschke_module._factor
 
         def counting_factor(lam, z):
             calls.append(lam)
-            return blaschke_factor(lam, z)
+            return factor(lam, z)
 
-        for module in (tmw_module, blaschke_module):
-            monkeypatch.setattr(module, "blaschke_factor", counting_factor, raising=False)
+        # every factor loop on a grid runs the one unchecked kernel
+        monkeypatch.setattr(blaschke_module, "_factor", counting_factor)
         seq = make_sequence("harmonic", 16)
         gram = gram_matrix(seq, 16, 512)
         assert len(calls) == 15
