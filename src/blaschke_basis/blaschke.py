@@ -185,8 +185,9 @@ def running_products(zeros, z):
     witness and `tmw_element` read one stream, each taking B_{n-1} as the
     stream passes it. The expansion's identity pass and partial sums form
     no product at all: `nested_sum` evaluates sum c_n B_n in nested form,
-    from the last factor back to the first. All three check their zeros
-    and points once per call and then loop over the unchecked factor.
+    from the last factor back to the first. Each of the three checks its
+    zeros once per call, the two streams their points too, and then loops
+    over the unchecked factor.
     """
     zeros = disk_points(zeros)
     z = _closed_disk(z)

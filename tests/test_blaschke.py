@@ -71,7 +71,6 @@ class TestProductEval:
             assert value == pytest.approx(2.0 / (n + 2), abs=1e-14)
 
 
-
 class TestRunningSquaredModuli:
     @staticmethod
     def ring_points(sample_count=256):
@@ -244,7 +243,6 @@ class TestCauchyKernel:
     def test_h2_norm_closed_form(self):
         f = cauchy_kernel(0.8, 2048)
         assert hardy_norm(f, 2) == pytest.approx(1.0 / np.sqrt(1 - 0.64), abs=1e-8)
-
 
 
 class TestMakeSequence:
