@@ -212,8 +212,8 @@ def running_squared_moduli(zeros, z):
     is a few real multiply-adds, done in place. The yielded array is
     overwritten by the next step, so copy it to keep it.
 
-    Its caller is the Bergman ring quadrature, on circles inside the disk;
-    on the unit circle itself |B_n| = 1 and no pass is needed.
+    Its caller is the Bergman quadrature `norms.BergmanRings`, on circles
+    inside the disk; on the unit circle itself |B_n| = 1 and no pass is needed.
     """
     zeros = disk_points(zeros)
     z = _closed_disk(z)

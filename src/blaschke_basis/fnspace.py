@@ -306,10 +306,14 @@ def riesz_project(samples) -> BoundaryFunction:
     """Project raw boundary samples onto the analytic part.
 
     Fourier-transform and keep the nonnegative-frequency bins 0..M/2-1.
-    Accepts any sample vector; the result has analytic_radius 1 (boundary
-    only).
+    Accepts any finite sample vector; the result has analytic_radius 1
+    (boundary only).
     """
-    arr, spectrum = _analyze(samples)
+    arr = np.asarray(samples, dtype=complex)
+    if not np.isfinite(arr).all():
+        first = int(np.flatnonzero(~np.isfinite(arr))[0])
+        raise PreconditionError(f"sample {first} is {arr.flat[first]}; the projection needs finite samples")
+    arr, spectrum = _analyze(arr)
     return BoundaryFunction(spectrum[: arr.size // 2], 1.0)
 
 
@@ -322,11 +326,11 @@ def eval_inside(f: BoundaryFunction, z) -> complex:
 def dilate(f: BoundaryFunction, r: float) -> BoundaryFunction:
     """The dilation z -> f(r z), valid for 0 <= r <= f.analytic_radius.
 
-    The library's one coefficient scaling: the live a_k times r^k (the
-    Bergman norms read their circles through it). Expanding (r > 1)
-    amplifies the coefficient tail; if the tail holds roundoff noise rather
-    than genuine decay the scaled values overflow, which is reported instead
-    of returning garbage.
+    The library's one coefficient scaling: the live a_k times r^k
+    (`toeplitz.dilation_sup_bound_check` reads f on a circle of radius
+    r > 1 through it). Expanding (r > 1) amplifies the coefficient tail; if
+    the tail holds roundoff noise rather than genuine decay the scaled
+    values overflow, which is reported instead of returning garbage.
     """
     r = float(r)
     if not 0.0 <= r <= f.analytic_radius:

@@ -11,7 +11,8 @@ produces iterates h_n = T_{conj(B_n)} f and the telescoped representation
 with the convention that the n = 0 coefficient is just f(lambda_1) (its
 second term carries the empty product of index -1, taken as 0). Residual
 norms are computed from the closed form for R_N, whose modulus on the
-circle equals |h_N + constant| because |B_N| = 1 there; the drift between
+circle equals |h_N + constant| because |B_N| = 1 there (the Bergman norms,
+on interior circles, come from `norms.BergmanRings`); the drift between
 f and S_N f + R_N f, evaluated on the grid in nested form
 c_0 + b_1 (c_1 + b_2 (... + b_N (shift + h_N))) by `blaschke.nested_sum`,
 is tracked separately as remainder_identity_gap, a cross-check of the
@@ -38,11 +39,10 @@ from .blaschke import (
     nested_sum,
     pole_radius,
     running_products,
-    running_squared_moduli,
 )
 from .errors import AnalyticityError, PreconditionError
-from .fnspace import BoundaryFunction, _synthesize, from_samples, unit_circle_grid
-from .norms import DOMINATION_SLACK, EMBEDDING_CONSTANT, NormSpec, ring_sample_counts, sup_norm
+from .fnspace import BoundaryFunction, _synthesize, from_samples
+from .norms import DOMINATION_SLACK, EMBEDDING_CONSTANT, BergmanRings, NormSpec, sup_norm
 from .toeplitz import iterates
 
 #: Accumulated floating-point drift between f - S_N f and the closed-form
@@ -50,8 +50,6 @@ from .toeplitz import iterates
 IDENTITY_GAP_RTOL = 1e-8
 
 _DIAGONAL_FLOOR = 1e-12
-
-_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +108,8 @@ def _remainders(f: BoundaryFunction, points):
     synthesis into one buffer that each step overwrites, and sup its max."""
     tail = np.empty(f.sample_count, dtype=complex)
     magnitude = np.empty(f.sample_count)
-    for value, shift, h in iterates(f, points):
+    for lam, (value, h) in zip(points, iterates(f, points)):
+        shift = -np.conj(lam) * value
         _synthesize(h.taylor, h.live_length, out=tail)
         tail += shift
         yield value, shift, h, tail, float(np.max(np.abs(tail, out=magnitude)))
@@ -218,80 +217,6 @@ class ConvergenceTable:
         return "\n".join(lines) + "\n"
 
 
-class _RingModuli:
-    """|R_n|^2 = |shift + h_n|^2 * |B_n|^2 on the circles of one Bergman
-    radial rule, one chain step at a time, each circle on its own grid.
-
-    Circle r gets M_r equispaced points (`sizes`, one per radius; see
-    `norms.ring_sample_counts`), and consecutive circles with one M_r form a
-    group. What does not depend on h_n is set up once per group: the power
-    table r^k for k < min(M/2, M_r), one (rows, M_r) spectrum buffer the
-    inverse FFT overwrites in place, the moduli buffer, and the running
-    |B_n|^2 on the points r * unit_circle_grid(M_r). Coefficients k >= M_r
-    are dropped; a group with M_r = M zero-pads its upper half instead. `step`
-    must be called for n = 0, 1, ... in order; it returns one block of rows
-    of squared moduli per group, in radius order, overwritten by the next
-    step.
-
-    Two a priori certificates hold for a circle with M_r < M (the trapezoid
-    rule converges like r^{M_r}; Trefethen & Weideman, SIAM Review 2014):
-    - the dropped coefficients weigh r^k <= r^{M_r} <= norms.RING_TOLERANCE^2;
-    - the trapezoid mean of |g|^2, g analytic with Taylor coefficients g_k,
-      differs from the circle mean by the aliased Fourier coefficients
-      sum_{j != 0} sum_k g_{k+|j| M_r} conj(g_k) r^{2k+|j| M_r}, at most
-      2 r^{M_r} / (1 - r^{M_r}) * ||g||^2_{H^2} by Cauchy-Schwarz.
-    Both are checked once here against the squared unit roundoff u^2 =
-    2^-106, so a ring mean of |R_n|^2 carries no quadrature error above its
-    own rounding unless it is below u * ||R_n||^2_{H^2}. The bound covers
-    |R_n|^p only for even integer p, as the mean of |R_n^{p/2}|^2 with
-    R_n^{p/2} analytic; for any other p, |R_n|^p is not smooth where R_n
-    vanishes, so a set of circles shared with such a norm keeps all M points
-    (`sizes` all M).
-    Each group's contiguous (rows, M_r) transform beat `fnspace._synthesize`
-    with radial weights, whose strided view and twiddle pass cost more: 2.04
-    ms against 2.22 ms for 619 live coefficients and 1.44 ms against 2.05 ms
-    for 4 (64 rings at M = 2048, one thread of a 2-core Xeon, 30-round
-    medians).
-    """
-
-    def __init__(self, radii: np.ndarray, points: np.ndarray, sample_count: int,
-                 sizes: np.ndarray):
-        reduced = sizes < sample_count
-        dropped = radii[reduced] ** sizes[reduced]
-        if np.max(2.0 * dropped / (1.0 - dropped), initial=0.0) > _UNIT_ROUNDOFF ** 2:
-            raise AssertionError(
-                f"ring grids of {sorted(set(sizes.tolist()))} points for radii up to "
-                f"{np.max(radii[reduced]):.17g} certify no error below 2^-106"
-            )
-        self.groups = []
-        start = 0
-        for size, run in itertools.groupby(sizes.tolist()):
-            rows = radii[start:start + len(list(run))]
-            start += rows.size
-            width = min(sample_count // 2, size)
-            self.groups.append((
-                np.power(rows[:, None], np.arange(width, dtype=float)),
-                np.empty((rows.size, size), dtype=complex),
-                np.empty((rows.size, size)),
-                running_squared_moduli(points, rows[:, None] * unit_circle_grid(size)),
-            ))
-
-    def step(self, shift: complex, h: BoundaryFunction) -> list[np.ndarray]:
-        blocks = []
-        for powers, values, moduli, products in self.groups:
-            width = powers.shape[1]
-            np.multiply(h.taylor[:width], powers, out=values[:, :width])
-            values[:, width:] = 0.0
-            # unnormalized inverse, in place: values[k] = sum_n a_n r^n omega^(n k)
-            np.fft.ifft(values, norm="forward", out=values)
-            values += shift
-            np.abs(values, out=moduli)
-            moduli *= moduli
-            moduli *= next(products)
-            blocks.append(moduli)
-        return blocks
-
-
 def convergence_study(
     f: BoundaryFunction,
     seq: PointSequence,
@@ -322,30 +247,16 @@ def convergence_study(
     points = seq.points[:n_max]
 
     columns = {label: [] for label in ["sup", *(s.label for s in extra_specs)]}
-
-    # Bergman columns read |R_n|^2 on interior circles from `_RingModuli`, so
-    # no spectral representation of the product is ever formed; specs on the
-    # same circles share their ring moduli, and those circles get grids sized
-    # by radius only if every such spec has an even integer p.
-    ring_specs = {}
-    for s in extra_specs:
-        if s.ring_radii is not None:
-            ring_specs.setdefault((s.alpha, s.radial_nodes), []).append(s)
-    rings = {}
-    for key, shared in ring_specs.items():
-        radii = shared[0].ring_radii
-        sizes = (ring_sample_counts(radii, f.sample_count)
-                 if all(s.p % 2 == 0 for s in shared) else np.full(radii.size, f.sample_count))
-        rings[key] = _RingModuli(radii, points, f.sample_count, sizes)
+    rings = BergmanRings(extra_specs, points, f.sample_count)
 
     # row 0 is R_0 f = f: no shift, and B_0 = 1
     first = (0.0, f, f.samples, sup_norm(f))
     steps = itertools.chain([first], (step[1:] for step in _remainders(f, points)))
     for n, (shift, h, tail, sup_val) in enumerate(steps):
-        moduli = {key: ring.step(shift, h) for key, ring in rings.items()}
+        ring_norms = rings.step(shift, h)
         columns["sup"].append(sup_val)
         for spec in extra_specs:
-            val = spec.from_values(tail, moduli.get((spec.alpha, spec.radial_nodes)))
+            val = ring_norms[spec.label] if spec.label in ring_norms else spec.from_values(tail)
             if val > EMBEDDING_CONSTANT * sup_val + DOMINATION_SLACK:
                 raise AnalyticityError(
                     f"norm {spec.label} = {val:.12g} exceeds C0 * sup = {sup_val:.12g} "

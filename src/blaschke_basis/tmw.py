@@ -241,7 +241,7 @@ def lacunary_witness(
     # the last is taken without building iterate_kmax, which no value reads
     points = seq.points[: indices[-1]]
     h, evaluations = witness_fn, []
-    for value, _, h in iterates(witness_fn, points[:-1]):
+    for value, h in iterates(witness_fn, points[:-1]):
         evaluations.append(abs(value))
     evaluations.append(abs(eval_inside(h, points[-1])))
     values = [evaluations[n - 1] for n in indices]

@@ -69,21 +69,21 @@ def iterates(f: BoundaryFunction, points):
     """Walk the Toeplitz chain h_n = T_{conj(B_n)} f along the points, holding
     one iterate at a time.
 
-    Yields, for n = 1..len(points), the evaluation h_{n-1}(lambda_n), the
-    shift -conj(lambda_n) h_{n-1}(lambda_n) and the iterate h_n; R_n f is
+    Yields, for n = 1..len(points), the evaluation h_{n-1}(lambda_n) and the
+    iterate h_n; with shift = -conj(lambda_n) h_{n-1}(lambda_n), R_n f is
     (shift + h_n) * B_n, so shift + h_n has the moduli of R_n f on the circle.
     """
     h = f
     for lam in points:
         value, h = zero_extraction_step(h, lam)
-        yield value, -np.conj(lam) * value, h
+        yield value, h
 
 
 def toeplitz_product_apply(f: BoundaryFunction, product: FiniteBlaschkeProduct) -> BoundaryFunction:
     """Apply the operator with symbol conj(B): the last iterate of the chain
     over the zeros in order; the empty product returns f itself."""
     result = f
-    for _, _, result in iterates(f, product.zeros):
+    for _, result in iterates(f, product.zeros):
         pass
     return result
 

@@ -132,7 +132,7 @@ class TestLayout:
         monkeypatch.setattr(fnspace, "_synthesize",
                             lambda taylor, live: calls.append(1) or synthesize(taylor, live))
         f = cauchy_kernel(0.3, self.M)
-        for _, _, h in iterates(f, [0.1, -0.2j, 0.5]):
+        for _, h in iterates(f, [0.1, -0.2j, 0.5]):
             pass
         assert calls == []
         first = h.samples
@@ -281,6 +281,16 @@ class TestRieszProject:
         values = np.conj((lam - grid) / (1 - lam * grid)) / (1 - lam * grid)
         f = riesz_project(values)
         assert np.max(np.abs(f.samples)) <= 1e-10
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.5, -np.inf)])
+    def test_non_finite_sample_named(self, bad):
+        # a non-finite sample used to give NaN coefficients
+        values = np.ones(16, dtype=complex)
+        values[[5, 9]] = bad, np.nan
+        with pytest.raises(PreconditionError, match="sample 5 is"):
+            riesz_project(values)
+        with pytest.raises(PreconditionError, match="sample 0 is"):
+            riesz_project(np.full(16, bad))
 
     def test_full_operation_idempotent_to_roundoff(self):
         rng = np.random.default_rng(4)

@@ -150,6 +150,22 @@ class TestBergmanNorm:
         expected = math.sqrt((1 + alpha) * beta(4.0, alpha + 1.0))
         assert bergman_norm(z3, 2, alpha) == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.0, 2.7])
+    def test_p2_matches_the_taylor_formula(self, alpha):
+        # random complex polynomials of degree 3..100, where the 64-node
+        # radial rule is exact (degree <= 127 in u = 1 - r^2), against the
+        # exact A^2_alpha norm from the coefficients (tests/oracle.py), which
+        # reads no circle; worst relative gap measured 5.7e-15
+        rng = np.random.default_rng(43)
+        for degree in (3, *rng.integers(4, 100, size=6), 100):
+            f = from_taylor(rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1), M)
+            expected = oracle.bergman_norm_from_taylor(f.taylor, alpha)
+            assert bergman_norm(f, 2, alpha) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    def test_finite_p_needs_the_disk(self):
+        with pytest.raises(PreconditionError, match="BergmanRings"):
+            NormSpec.parse("bergman:2:0").from_values(np.ones(M))
+
     def test_parameter_validation(self):
         f = from_taylor([1], M)
         with pytest.raises(PreconditionError):
@@ -175,12 +191,13 @@ class TestNormSpec:
 
     @pytest.mark.parametrize("text", ["bergman:inf:0", "bergman:inf:1.5"])
     def test_bergman_inf_is_the_sup(self, text):
-        # A^inf_alpha is the sup over the disk, attained on the boundary
+        # A^inf_alpha is the sup over the disk, attained on the boundary; the
+        # kernel's finite-p norms, read on the circles, stay below it
         spec = NormSpec.parse(text)
-        assert spec.ring_radii is None
         for f in (from_taylor([2], 64), cauchy_kernel(0.5 - 0.2j, M)):
             assert spec.evaluate(f) == sup_norm(f)
             assert bergman_norm(f, math.inf, spec.alpha) == sup_norm(f)
+        assert NormSpec("bergman", 2.0, spec.alpha).evaluate(f) < sup_norm(f)
 
     def test_bad_specs_rejected(self):
         for text in ("hardy", "bergman:2", "chebyshev:1", "hardy:zero", "sup:2",

@@ -53,7 +53,7 @@ def test_chain_matches_oracle(coeffs, points):
     scale = float(np.linalg.norm(coeffs))
     degree = len(coeffs) - 1
     values, chain = oracle.deflation_chain(coeffs, points)
-    for (value, _, h), ref_value, ref in zip(iterates(from_taylor(coeffs, M), points),
+    for (value, h), ref_value, ref in zip(iterates(from_taylor(coeffs, M), points),
                                              values, chain, strict=True):
         assert abs(value - complex(ref_value)) <= EVALUATION_BOUND * scale
         ref = np.array([complex(c) for c in ref])
@@ -75,8 +75,9 @@ def test_kernel_coefficients_match_eigen_relation(alpha, n, spec):
 def bergman_table():
     f, seq = cauchy_kernel(0.3, 2048), make_sequence("harmonic-shifted", 60)
     points = seq.points[:60]
-    remainders = {n: (shift, h.taylor, points[:n])
-                  for n, (_, shift, h) in enumerate(iterates(f, points), 1) if n in (1, 10, 30, 60)}
+    remainders = {n: (-np.conj(lam) * value, h.taylor, points[:n])
+                  for n, (lam, (value, h)) in enumerate(zip(points, iterates(f, points)), 1)
+                  if n in (1, 10, 30, 60)}
     return convergence_study(f, seq, 60, ["bergman:2:0:1024"]), remainders
 
 

@@ -26,9 +26,8 @@ from blaschke_basis import (
     triangular_reconstruct,
 )
 from blaschke_basis import blaschke, norms, schauder
-from blaschke_basis.fnspace import from_samples, unit_circle_grid
-from blaschke_basis.norms import SUP, NormSpec, bergman_radial_rule, ring_sample_counts
-from blaschke_basis.schauder import _RingModuli
+from blaschke_basis.fnspace import dilate, from_samples, unit_circle_grid
+from blaschke_basis.norms import SUP, BergmanRings, NormSpec, bergman_radial_rule, ring_sample_counts
 from blaschke_basis.toeplitz import iterates
 
 M = 2048
@@ -44,10 +43,19 @@ def standalone_remainder(f, seq, n):
     M/2 Taylor terms of the product, so along points crowding the boundary it
     loses accuracy (2.0e-11 at n = 40 with M = 4096 along harmonic-shifted)
     and fails the analyticity gate from n = 27 at M = 2048."""
-    for _, shift, h in iterates(f, seq.points[:n]):
-        pass
+    for lam, (value, h) in zip(seq.points[:n], iterates(f, seq.points[:n])):
+        shift = -np.conj(lam) * value
     product = product_eval(FiniteBlaschkeProduct(seq.points[:n]), unit_circle_grid(f.sample_count))
     return from_samples((shift + h.samples) * product, h.analytic_radius, scale_floor=sup_norm(f))
+
+
+def dilated_bergman_norm(f, p, alpha, radial_nodes):
+    """The Bergman norm with every circle r of the radial rule read on all M
+    points as the boundary of dilate(f, r), a 1-d pruned synthesis: no code
+    of norms.BergmanRings."""
+    radii, weights = bergman_radial_rule(alpha, radial_nodes)
+    rings = np.array([np.abs(dilate(f, r).samples) ** 2 for r in radii])
+    return float(np.dot(weights, np.mean(rings ** (p / 2.0), axis=1)) ** (1.0 / p))
 
 
 class TestCoefficients:
@@ -261,13 +269,13 @@ class TestConvergenceStudy:
         # times a power table, in one batched inverse FFT per group of circles
         # on one grid (bergman:2:0 and bergman:2:1:32 on grids sized by
         # radius, the other p on all M points), and takes |B_n|^2 from the
-        # closed-form factor moduli of running_squared_moduli. The standalone side is bergman_norm of
-        # standalone_remainder: R_n f as one function (complex grid products
-        # of the factors, analyzed by from_samples), each ring read as the
-        # boundary of its dilation, a 1-d pruned synthesis. The two share no
-        # ring code. Worst relative gap measured: 5.3e-16 along
-        # harmonic-shifted, 3.0e-16 along harmonic, 8.5e-16 for the
-        # polynomial. The standalone remainder keeps M/2 Taylor terms, which
+        # closed-form factor moduli of running_squared_moduli. The standalone
+        # side is dilated_bergman_norm of standalone_remainder: R_n f as one
+        # function (complex grid products of the factors, analyzed by
+        # from_samples), each ring read as the boundary of its dilation, a
+        # 1-d pruned synthesis. The two share no ring code. Worst relative
+        # gap measured: 5.3e-16 along harmonic-shifted, 3.0e-16 along
+        # harmonic, 8.5e-16 for the polynomial. The standalone remainder keeps M/2 Taylor terms, which
         # along harmonic-shifted costs it 2.0e-11 at n = 40 with M = 4096
         # (and fails the analyticity gate from n = 27 with M = 2048), so that
         # side is built at M = 8192, for a few n to save time; the table at
@@ -292,8 +300,23 @@ class TestConvergenceStudy:
             for text, (p, alpha, nodes) in norms.items():
                 label = NormSpec.parse(text).label
                 assert table.columns[label][n] == pytest.approx(
-                    bergman_norm(remainder, p, alpha, radial_nodes=nodes), rel=1e-12, abs=0.0
+                    dilated_bergman_norm(remainder, p, alpha, nodes), rel=1e-12, abs=0.0
                 )
+
+    @pytest.mark.parametrize("text", ["bergman:2:0", "bergman:1:0.5", "bergman:2:1:32",
+                                      "bergman:4:2.7"])
+    @pytest.mark.parametrize("func", ["kernel:0.3", "kernel:0.6+0.2i", "poly", "kernel:0.9"])
+    def test_row_0_is_the_standalone_norm(self, func, text):
+        # R_0 f = f, so a table's first Bergman row and the standalone norm of
+        # f are one quadrature on one set of grids, bit for bit; kernel:0.9 is
+        # full band at M = 8192, poly the CLI contract's input
+        f = {"kernel:0.3": lambda: cauchy_kernel(0.3, M),
+             "kernel:0.6+0.2i": lambda: cauchy_kernel(0.6 + 0.2j, M),
+             "poly": lambda: from_taylor([1, 0.5, 0.25j, -0.3], M),
+             "kernel:0.9": lambda: cauchy_kernel(0.9, 8192)}[func]()
+        spec = NormSpec.parse(text)
+        table = convergence_study(f, make_sequence("harmonic", 2), 2, [spec])
+        assert table.columns[spec.label][0] == bergman_norm(f, spec.p, spec.alpha, spec.radial_nodes)
 
     def test_csv_shape(self):
         seq = make_sequence("harmonic-shifted", 4)
@@ -352,15 +375,18 @@ class TestRingGrids:
         points = make_sequence(spec, count).points[:count]
         radii = bergman_radial_rule(alpha, nodes)[0]
         sizes = ring_sample_counts(radii, m)
-        grouped = _RingModuli(radii, points, m, sizes)
-        full = _RingModuli(radii, points, m, np.full(radii.size, m))
-        steps = itertools.chain([(0.0, f)], ((shift, h) for _, shift, h in iterates(f, points)))
+        # p = 2 gets the grids sized by radius, p = 1 all M points
+        grouped = BergmanRings([NormSpec("bergman", 2.0, alpha, nodes)], points, m)
+        full = BergmanRings([NormSpec("bergman", 1.0, alpha, nodes)], points, m)
+        steps = itertools.chain([(0.0, f)], ((-np.conj(lam) * value, h) for lam, (value, h)
+                                             in zip(points, iterates(f, points))))
         for shift, h in steps:
-            blocks = grouped.step(shift, h)
+            [(_, blocks)] = grouped._moduli(shift, h)
             assert [block.shape for block in blocks] == [
                 (np.count_nonzero(sizes == size), size) for size in np.unique(sizes)[::-1]]
             means = np.concatenate([np.mean(block, axis=1) for block in blocks])
-            expected = np.mean(full.step(shift, h)[0], axis=1)
+            [(_, full_blocks)] = full._moduli(shift, h)
+            expected = np.mean(full_blocks[0], axis=1)
             assert np.all(np.abs(means - expected) <= 1e-15 * expected)
             assert np.array_equal(means[sizes == m], expected[sizes == m])
 
@@ -381,11 +407,13 @@ class TestRingGrids:
         # that has it alone, bit for bit
         sizes = []
 
-        def recording(radii, points, sample_count, ring_sizes):
-            sizes.append(set(ring_sizes.tolist()))
-            return _RingModuli(radii, points, sample_count, ring_sizes)
+        def recording(specs, zeros, sample_count):
+            rings = BergmanRings(specs, zeros, sample_count)
+            sizes.extend({values.shape[1] for _, values, _, _ in groups}
+                         for _, groups in rings._rings)
+            return rings
 
-        monkeypatch.setattr(schauder, "_RingModuli", recording)
+        monkeypatch.setattr(schauder, "BergmanRings", recording)
         f = cauchy_kernel(0.3 + 0.2j, M)
         seq = make_sequence("harmonic-shifted", 30)
         shared = convergence_study(f, seq, 30, ["bergman:2:0", "bergman:1:0"])
@@ -415,7 +443,8 @@ def test_residuals_bitwise_equal_to_iterate_samples():
     for _ in range(3):
         alpha = 0.9 * np.sqrt(rng.uniform()) * cmath.exp(2j * np.pi * rng.uniform())
         f = cauchy_kernel(alpha, 1024)
-        expected = [SUP.from_values(shift + h.samples) for _, shift, h in iterates(f, seq.points)]
+        expected = [SUP.from_values(-np.conj(lam) * value + h.samples)
+                    for lam, (value, h) in zip(seq.points, iterates(f, seq.points))]
         assert expansion_coefficients(f, seq, 40).residual_sup_norms.tolist() == expected
 
 

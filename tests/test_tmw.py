@@ -226,7 +226,7 @@ class TestWitness:
         report = lacunary_witness(seq, 8, support="pow2", sample_count=512)
         assert len(steps) == 7
         monkeypatch.undo()
-        chain = [abs(value) for value, _, _ in iterates(report.function, seq.points[:8])]
+        chain = [abs(value) for value, _ in iterates(report.function, seq.points[:8])]
         assert report.values == [chain[n - 1] for n in report.support]
 
     def test_cross_terms_cancel(self):

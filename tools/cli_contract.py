@@ -73,6 +73,8 @@ DATA_COMMANDS = [
     "convergence --func kernel:0.9 --seq harmonic:1.7 --nterms 100 "
     "--norms sup,bergman:2:1,bergman:4:1,bergman:1:0 --samples 8192 --out n.csv",
     "tmw functional --n 500 --seq harmonic-shifted --samples 8192 --out o.json",
+    "convergence --func kernel:0.9 --seq harmonic:1.7 --nterms 500 --norms sup,bergman:2:1 "
+    "--samples 8192 --out p.csv",
 ]
 
 #: The `file:` input: a truncated, non-entire function with complex
