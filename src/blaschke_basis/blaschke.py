@@ -212,7 +212,7 @@ def running_squared_moduli(zeros, z):
     is a few real multiply-adds, done in place. The yielded array is
     overwritten by the next step, so copy it to keep it.
 
-    Its caller is the Bergman quadrature `norms.BergmanRings`, on circles
+    Its caller is the Bergman quadrature of `norms.RemainderNorms`, on circles
     inside the disk; on the unit circle itself |B_n| = 1 and no pass is needed.
     """
     zeros = disk_points(zeros)

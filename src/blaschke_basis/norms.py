@@ -38,7 +38,7 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 def sup_norm(f: BoundaryFunction) -> float:
     """Maximum modulus over the boundary samples (the H^infinity norm for
     the analytic functions represented here, by the maximum principle)."""
-    return SUP.from_values(f.samples)
+    return float(np.max(np.abs(f.samples)))
 
 
 def hardy_norm(f: BoundaryFunction, p: float) -> float:
@@ -130,7 +130,7 @@ def ring_sample_counts(radii: np.ndarray, sample_count: int) -> np.ndarray:
     smallest power of two >= 2 ln(eps) / ln(r), eps = RING_TOLERANCE, so that
     r^{M_r} <= eps^2, kept within MIN_SAMPLE_COUNT..M (M = sample_count).
     The trapezoid rule on a circle converges like r^{M_r} for the squared
-    modulus of an analytic function (see `BergmanRings`)."""
+    modulus of an analytic function (see `RemainderNorms`)."""
     with np.errstate(divide="ignore"):  # r = 0 needs no points, r = 1 all M
         need = np.where(radii < 1.0, 2.0 * np.log(RING_TOLERANCE) / np.log(radii), np.inf)
     doublings = np.ceil(np.log2(np.maximum(need / MIN_SAMPLE_COUNT, 1.0)))
@@ -193,31 +193,24 @@ class NormSpec:
             return f"hardy:{self.p:g}"
         return f"bergman:{self.p:g}:{self.alpha:g}"
 
-    def from_values(self, boundary: np.ndarray) -> float:
-        """The norm from boundary samples (a p = inf norm is the sup over the
-        disk, by the maximum principle); finite-p Bergman needs `BergmanRings`."""
-        if self.kind == "sup" or self.p == math.inf:
-            return float(np.max(np.abs(boundary)))
-        if self.kind == "bergman":
-            raise PreconditionError(f"{self.label} needs the disk: see BergmanRings")
-        return float(np.mean(np.abs(boundary) ** self.p) ** (1.0 / self.p))
-
     def evaluate(self, f: BoundaryFunction) -> float:
-        """The norm of f, a finite-p Bergman norm from `BergmanRings`."""
-        rings = BergmanRings([self], (), f.sample_count).step(0.0, f)
-        return rings[self.label] if rings else self.from_values(f.samples)
+        """The norm of f: the step n = 0 of `RemainderNorms`."""
+        return RemainderNorms([self], (), f.sample_count).step(0.0, f, f.samples)[0]
 
 
-SUP = NormSpec("sup")
-
-
-class BergmanRings:
-    """The Gauss-trapezoid Bergman quadrature of R_n = (shift + h_n) * B_n,
-    B_n the product over the first n `zeros`, one chain step at a time, from
-    |R_n|^2 = |shift + h_n|^2 * |B_n|^2 on the circles of each finite-p
-    Bergman spec's radial rule; specs on one set of circles share them.
-    `step` must be called for n = 0, 1, ... in order; a standalone norm is
-    the step n = 0 with no zeros.
+class RemainderNorms:
+    """The norm of R_n = (shift + h_n) * B_n, B_n the product over the first
+    n `zeros`, for every spec, one chain step at a time: the one place that
+    maps a spec to its computation. `step` must be called for n = 0, 1, ...
+    in order; a standalone norm is the step n = 0 with no zeros. On the
+    circle |B_n| = 1, so sup, Hardy and p = inf norms (the sup over the disk,
+    by the maximum principle) read the boundary values shift + h_n; a
+    finite-p Bergman norm is a Gauss-trapezoid quadrature of |R_n|^2 =
+    |shift + h_n|^2 * |B_n|^2 on the circles of its radial rule, and specs on
+    one set of circles share them. Every power mean is taken of moduli
+    divided by top = max|shift + h_n| on the grid, which bounds |R_n| on the
+    disk, and multiplied by top, so no large p and no tiny or huge R_n under-
+    or overflows; the rings scale the coefficients and the shift.
 
     Circle r gets M_r equispaced points (`ring_sample_counts`), and
     consecutive circles with one M_r form a group. What does not depend on
@@ -247,15 +240,17 @@ class BergmanRings:
     """
 
     def __init__(self, specs, zeros, sample_count: int):
+        self._specs = list(specs)
         shared = {}
-        for spec in specs:
+        for index, spec in enumerate(self._specs):
             if spec.kind == "bergman" and spec.p != math.inf:
-                shared.setdefault((spec.alpha, spec.radial_nodes), []).append(spec)
-        self._rings = []  # (specs, groups) per set of circles
-        for (alpha, radial_nodes), ring_specs in shared.items():
+                shared.setdefault((spec.alpha, spec.radial_nodes), []).append(index)
+        self._rings = []  # (spec indices, groups) per set of circles
+        for (alpha, radial_nodes), indices in shared.items():
             radii = bergman_radial_rule(alpha, radial_nodes)[0]
             sizes = (ring_sample_counts(radii, sample_count)
-                     if all(s.p % 2 == 0 for s in ring_specs) else np.full(radii.size, sample_count))
+                     if all(self._specs[i].p % 2 == 0 for i in indices)
+                     else np.full(radii.size, sample_count))
             reduced = sizes < sample_count
             dropped = radii[reduced] ** sizes[reduced]
             if np.max(2.0 * dropped / (1.0 - dropped), initial=0.0) > _UNIT_ROUNDOFF ** 2:
@@ -274,16 +269,17 @@ class BergmanRings:
                     np.empty((rows.size, size)),
                     running_squared_moduli(zeros, rows[:, None] * unit_circle_grid(size)),
                 ))
-            self._rings.append((ring_specs, groups))
+            self._rings.append((indices, groups))
 
-    def _moduli(self, shift: complex, h: BoundaryFunction):
-        """Yield (specs, one block of |R_n|^2 rows per group, in radius
-        order, overwritten by the next step) per set of circles."""
-        for ring_specs, groups in self._rings:
+    def _moduli(self, shift: complex, taylor: np.ndarray):
+        """Yield (spec indices, one block of |shift + g|^2 |B_n|^2 rows per
+        group, in radius order, overwritten by the next step) per set of
+        circles, g the function with the given M/2 Taylor coefficients."""
+        for indices, groups in self._rings:
             blocks = []
             for powers, values, moduli, products in groups:
                 width = powers.shape[1]
-                np.multiply(h.taylor[:width], powers, out=values[:, :width])
+                np.multiply(taylor[:width], powers, out=values[:, :width])
                 values[:, width:] = 0.0
                 # unnormalized inverse, in place: values[k] = sum_n a_n r^n omega^(n k)
                 np.fft.ifft(values, norm="forward", out=values)
@@ -292,17 +288,27 @@ class BergmanRings:
                 moduli *= moduli
                 moduli *= next(products)
                 blocks.append(moduli)
-            yield ring_specs, blocks
+            yield indices, blocks
 
-    def step(self, shift: complex, h: BoundaryFunction) -> dict[str, float]:
-        """{label: norm of R_n} for every finite-p Bergman spec."""
-        norms = {}
-        for ring_specs, blocks in self._moduli(shift, h):
-            for spec in ring_specs:
+    def step(self, shift: complex, h: BoundaryFunction, boundary: np.ndarray) -> list[float]:
+        """The norm of R_n for every spec, in spec order; `boundary` holds
+        shift + h_n on the grid."""
+        magnitude = np.abs(boundary)
+        top = float(np.max(magnitude))
+        unit = top or 1.0  # R_n = 0 has every norm 0
+        magnitude /= unit
+        norms = [top] * len(self._specs)  # sup and p = inf
+        for index, spec in enumerate(self._specs):
+            if spec.kind == "hardy" and spec.p != math.inf:
+                norms[index] = top * float(np.mean(magnitude ** spec.p) ** (1.0 / spec.p))
+        del magnitude  # not held through the ring pass
+        for indices, blocks in self._moduli(shift / unit, h.taylor / unit):
+            for index in indices:
+                spec = self._specs[index]
                 weights = bergman_radial_rule(spec.alpha, spec.radial_nodes)[1]
                 angular_means = np.concatenate(
                     [np.mean(block ** (spec.p / 2.0), axis=1) for block in blocks])
-                norms[spec.label] = float(np.dot(weights, angular_means) ** (1.0 / spec.p))
+                norms[index] = top * float(np.dot(weights, angular_means) ** (1.0 / spec.p))
         return norms
 
 

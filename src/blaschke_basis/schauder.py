@@ -10,9 +10,9 @@ produces iterates h_n = T_{conj(B_n)} f and the telescoped representation
 
 with the convention that the n = 0 coefficient is just f(lambda_1) (its
 second term carries the empty product of index -1, taken as 0). Residual
-norms are computed from the closed form for R_N, whose modulus on the
-circle equals |h_N + constant| because |B_N| = 1 there (the Bergman norms,
-on interior circles, come from `norms.BergmanRings`); the drift between
+norms are computed from the closed form for R_N by `norms.RemainderNorms`:
+its modulus on the circle equals |h_N + constant| because |B_N| = 1 there,
+and the Bergman norms read it on interior circles; the drift between
 f and S_N f + R_N f, evaluated on the grid in nested form
 c_0 + b_1 (c_1 + b_2 (... + b_N (shift + h_N))) by `blaschke.nested_sum`,
 is tracked separately as remainder_identity_gap, a cross-check of the
@@ -42,7 +42,7 @@ from .blaschke import (
 )
 from .errors import AnalyticityError, PreconditionError
 from .fnspace import BoundaryFunction, _synthesize, from_samples
-from .norms import DOMINATION_SLACK, EMBEDDING_CONSTANT, BergmanRings, NormSpec, sup_norm
+from .norms import DOMINATION_SLACK, EMBEDDING_CONSTANT, NormSpec, RemainderNorms, sup_norm
 from .toeplitz import iterates
 
 #: Accumulated floating-point drift between f - S_N f and the closed-form
@@ -247,16 +247,14 @@ def convergence_study(
     points = seq.points[:n_max]
 
     columns = {label: [] for label in ["sup", *(s.label for s in extra_specs)]}
-    rings = BergmanRings(extra_specs, points, f.sample_count)
+    norms = RemainderNorms(extra_specs, points, f.sample_count)
 
     # row 0 is R_0 f = f: no shift, and B_0 = 1
     first = (0.0, f, f.samples, sup_norm(f))
     steps = itertools.chain([first], (step[1:] for step in _remainders(f, points)))
     for n, (shift, h, tail, sup_val) in enumerate(steps):
-        ring_norms = rings.step(shift, h)
         columns["sup"].append(sup_val)
-        for spec in extra_specs:
-            val = ring_norms[spec.label] if spec.label in ring_norms else spec.from_values(tail)
+        for spec, val in zip(extra_specs, norms.step(shift, h, tail)):
             if val > EMBEDDING_CONSTANT * sup_val + DOMINATION_SLACK:
                 raise AnalyticityError(
                     f"norm {spec.label} = {val:.12g} exceeds C0 * sup = {sup_val:.12g} "

@@ -314,8 +314,7 @@ def check_tmw_unit_norms(sample_count: int | None) -> None:
     m = sample_count or DEFAULT_TMW_SAMPLES
     seq = make_sequence("harmonic", 12)
     for n in (1, 4, 9, 12):
-        element = tmw.tmw_element(seq, n, m)
-        norm = norms.hardy_norm(element.function, 2.0)
+        norm = norms.hardy_norm(tmw.tmw_element(seq, n, m), 2.0)
         assert abs(norm - 1.0) <= 1e-8, f"element {n} has H^2 norm {norm}"
 
 
@@ -334,7 +333,7 @@ def check_parseval_on_span(sample_count: int | None) -> None:
     gammas = rng.standard_normal(10) + 1j * rng.standard_normal(10)
     total = np.zeros(m, dtype=complex)
     for n, gamma in enumerate(gammas, start=1):
-        total = total + gamma * tmw.tmw_element(seq, n, m).function.samples
+        total = total + gamma * tmw.tmw_element(seq, n, m).samples
     lhs = float(np.mean(np.abs(total) ** 2))
     rhs = float(np.sum(np.abs(gammas) ** 2))
     assert abs(lhs - rhs) <= 1e-7 * rhs, f"Parseval mismatch: {lhs} vs {rhs}"
@@ -366,7 +365,7 @@ def check_witness_values(sample_count: int | None) -> None:
         for n in report.support:
             if n == target:
                 continue
-            element = tmw.tmw_element(seq, n, m).function
+            element = tmw.tmw_element(seq, n, m)
             iterate = toeplitz.toeplitz_product_apply(
                 element, FiniteBlaschkeProduct(seq.points[: target - 1])
             )

@@ -42,15 +42,6 @@ from .toeplitz import iterates
 DEFAULT_TMW_SAMPLE_COUNT = 8192
 
 
-@dataclass(frozen=True, eq=False)
-class TMWElement:
-    """Element n >= 1 of the TMW system over a point sequence."""
-
-    index: int
-    function: BoundaryFunction
-    sequence: PointSequence
-
-
 def _truncated_kernel(lam, grid: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Samples on the M-point grid of the kernel k_lambda truncated at the
     grid bandwidth, sum_{k < M/2} conj(lambda)^k z^k: the function that
@@ -94,12 +85,12 @@ def _element_rows(seq: PointSequence, indices, sample_count: int) -> np.ndarray:
     return rows
 
 
-def tmw_element(seq: PointSequence, n: int, sample_count: int) -> TMWElement:
+def tmw_element(seq: PointSequence, n: int, sample_count: int) -> BoundaryFunction:
     """Build sqrt(1 - |lambda_n|^2) B_{n-1} k_{lambda_n} as a function."""
     if not 1 <= n <= len(seq):
         raise PreconditionError(f"element index {n} outside 1..{len(seq)}")
     samples = _element_rows(seq, [n], sample_count)[0]
-    return TMWElement(n, from_samples(samples, pole_radius(seq.points[:n])), seq)
+    return from_samples(samples, pole_radius(seq.points[:n]))
 
 
 def gram_matrix(seq: PointSequence, k: int, sample_count: int) -> np.ndarray:

@@ -198,6 +198,26 @@ class TestConvergence:
         rows = self.read_rows(out)
         assert [row["bergman:inf:0"] for row in rows] == [row["sup"] for row in rows]
 
+    def test_large_p_columns_have_no_zero_cell(self, tmp_path):
+        # |R_n|^128 underflowed on unscaled moduli, and 27 of 61 rows read 0
+        out = tmp_path / "p128.csv"
+        code = run_cli("convergence", "--func", "kernel:0.3", "--seq", "harmonic-shifted",
+                       "--nterms", "60", "--norms", "sup,hardy:128,bergman:128:0",
+                       "--out", str(out))
+        assert code == 0
+        for row in self.read_rows(out):
+            for label in ("hardy:128", "bergman:128:0"):
+                assert 0.0 < float(row[label]) <= float(row["sup"])
+
+    def test_hardy_p_1e308_reads_the_sup(self, tmp_path):
+        # |R_n|^1e308 overflowed to inf, an exit 3 with a numpy warning
+        out = tmp_path / "huge.csv"
+        code = run_cli("convergence", "--func", "kernel:0.3", "--seq", "harmonic-shifted",
+                       "--nterms", "10", "--norms", "sup,hardy:1e308", "--out", str(out))
+        assert code == 0
+        rows = self.read_rows(out)
+        assert [row["hardy:1e+308"] for row in rows] == [row["sup"] for row in rows]
+
     def test_lf_line_endings(self, tmp_path):
         out = tmp_path / "lf.csv"
         run_cli("convergence", "--func", "poly:1", "--seq", "harmonic-shifted",

@@ -20,7 +20,7 @@ from blaschke_basis import (
     product_as_function,
     sup_norm,
 )
-from blaschke_basis.norms import bergman_radial_rule, gauss_jacobi
+from blaschke_basis.norms import RemainderNorms, bergman_radial_rule, gauss_jacobi
 
 M = 2048
 
@@ -162,10 +162,6 @@ class TestBergmanNorm:
             expected = oracle.bergman_norm_from_taylor(f.taylor, alpha)
             assert bergman_norm(f, 2, alpha) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
-    def test_finite_p_needs_the_disk(self):
-        with pytest.raises(PreconditionError, match="BergmanRings"):
-            NormSpec.parse("bergman:2:0").from_values(np.ones(M))
-
     def test_parameter_validation(self):
         f = from_taylor([1], M)
         with pytest.raises(PreconditionError):
@@ -211,6 +207,28 @@ class TestNormSpec:
         for nodes in (1025, 10**9):
             with pytest.raises(PreconditionError, match="radial_nodes"):
                 NormSpec("bergman", 2.0, 0.0, nodes)
+
+
+class TestRemainderNorms:
+    @pytest.mark.parametrize("p", [2, 4, 600, 1200])
+    def test_norms_are_homogeneous_far_from_unit_scale(self, p):
+        # every power mean is taken of moduli divided by their grid max, so
+        # |f|^p and the ring squares neither underflow nor overflow; without
+        # that, 2^-600 k reads 0.0 at p = 2 and 2^600 k overflows at p = 600
+        f = cauchy_kernel(0.3, M)
+        for scale in (2.0 ** -600, 2.0 ** 600):
+            g = from_taylor(scale * f.taylor, M)
+            for norm in (hardy_norm, bergman_norm):
+                assert norm(g, p) == pytest.approx(scale * norm(f, p), rel=1e-15, abs=0.0)
+
+    def test_specs_differing_only_in_radial_nodes_keep_their_values(self):
+        # bergman:2:0:8 and bergman:2:0:64 share a label; each keeps its own
+        # value, in spec order, bit for bit the standalone norm
+        k = cauchy_kernel(0.9, M)
+        specs = [NormSpec.parse("bergman:2:0:8"), NormSpec.parse("bergman:2:0:64")]
+        values = RemainderNorms(specs, (), M).step(0.0, k, k.samples)
+        assert values == [spec.evaluate(k) for spec in specs]
+        assert values[0] != values[1]
 
 
 class TestEmbedding:

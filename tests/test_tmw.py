@@ -32,25 +32,25 @@ class TestElements:
     def test_first_element_at_origin_is_constant_one(self):
         seq = make_sequence("explicit:[0, 0.5]", 2)
         element = tmw_element(seq, 1, 2048)
-        assert np.allclose(element.function.samples, 1.0, atol=1e-12)
+        assert np.allclose(element.samples, 1.0, atol=1e-12)
 
     def test_first_element_closed_form(self):
         # lambda_1 = 0.6: the element is 0.8 * k_0.6 with unit H^2 norm
         seq = make_sequence("explicit:[0.6]", 1)
         element = tmw_element(seq, 1, 2048)
-        assert eval_inside(element.function, 0.0) == pytest.approx(0.8, abs=1e-12)
-        assert hardy_norm(element.function, 2) == pytest.approx(1.0, abs=1e-10)
+        assert eval_inside(element, 0.0) == pytest.approx(0.8, abs=1e-12)
+        assert hardy_norm(element, 2) == pytest.approx(1.0, abs=1e-10)
 
     def test_second_element_vanishes_at_first_point(self):
         seq = make_sequence("harmonic", 3)
         element = tmw_element(seq, 2, 2048)
-        assert abs(eval_inside(element.function, seq.points[0])) <= 1e-12
+        assert abs(eval_inside(element, seq.points[0])) <= 1e-12
 
     def test_unit_norms_across_the_system(self):
         seq = make_sequence("harmonic", 12)
         for n in (1, 6, 12):
             element = tmw_element(seq, n, M)
-            assert hardy_norm(element.function, 2) == pytest.approx(1.0, abs=1e-8)
+            assert hardy_norm(element, 2) == pytest.approx(1.0, abs=1e-8)
 
     def test_index_bounds(self):
         seq = make_sequence("harmonic", 3)
@@ -233,7 +233,7 @@ class TestWitness:
         seq = make_sequence("harmonic-shifted", 16)
         target = 8
         for n in (2, 4, 16):
-            iterate = tmw_element(seq, n, M).function
+            iterate = tmw_element(seq, n, M)
             for lam in seq.points[: target - 1]:
                 _, iterate = zero_extraction_step(iterate, lam)
             assert abs(eval_inside(iterate, seq.points[target - 1])) <= 1e-8

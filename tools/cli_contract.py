@@ -75,6 +75,8 @@ DATA_COMMANDS = [
     "tmw functional --n 500 --seq harmonic-shifted --samples 8192 --out o.json",
     "convergence --func kernel:0.9 --seq harmonic:1.7 --nterms 500 --norms sup,bergman:2:1 "
     "--samples 8192 --out p.csv",
+    "convergence --func ratgeo:0.8 --seq harmonic --nterms 40 "
+    "--norms sup,hardy:inf,hardy:1.5,bergman:inf:0.5,bergman:6:2 --out q.csv",
 ]
 
 #: The `file:` input: a truncated, non-entire function with complex
