@@ -200,17 +200,18 @@ class NormSpec:
 
 class RemainderNorms:
     """The norm of R_n = (shift + h_n) * B_n, B_n the product over the first
-    n `zeros`, for every spec, one chain step at a time: the one place that
-    maps a spec to its computation. `step` must be called for n = 0, 1, ...
-    in order; a standalone norm is the step n = 0 with no zeros. On the
-    circle |B_n| = 1, so sup, Hardy and p = inf norms (the sup over the disk,
-    by the maximum principle) read the boundary values shift + h_n; a
-    finite-p Bergman norm is a Gauss-trapezoid quadrature of |R_n|^2 =
-    |shift + h_n|^2 * |B_n|^2 on the circles of its radial rule, and specs on
-    one set of circles share them. Every power mean is taken of moduli
-    divided by top = max|shift + h_n| on the grid, which bounds |R_n| on the
-    disk, and multiplied by top, so no large p and no tiny or huge R_n under-
-    or overflows; the rings scale the coefficients and the shift.
+    n `zeros`, for every spec, sup included, one chain step at a time: the
+    one place that maps a spec to its computation. `step` must be called for
+    n = 0, 1, ... in order; a standalone norm is the step n = 0 with no
+    zeros. On the circle |B_n| = 1, so sup, Hardy and p = inf norms (the sup
+    over the disk, by the maximum principle) read |shift + h_n| on the grid,
+    in one buffer the instance owns; a finite-p Bergman norm is a quadrature
+    of |R_n|^2 = |shift + h_n|^2 * |B_n|^2 on the circles of its radial
+    rule, shared by the specs on one set of circles, and an instance without
+    such a spec skips the ring pass. Power means are of moduli divided by
+    top = max|shift + h_n|, which bounds |R_n| on the disk, times top: no
+    tiny or huge R_n and no large Hardy p under- or overflows, but
+    bergman:1e308:0 reads 0, as every circle lies inside the disk.
 
     Circle r gets M_r equispaced points (`ring_sample_counts`), and
     consecutive circles with one M_r form a group. What does not depend on
@@ -241,6 +242,7 @@ class RemainderNorms:
 
     def __init__(self, specs, zeros, sample_count: int):
         self._specs = list(specs)
+        self._magnitude = np.empty(sample_count)  # |shift + h_n| on the grid
         shared = {}
         for index, spec in enumerate(self._specs):
             if spec.kind == "bergman" and spec.p != math.inf:
@@ -293,15 +295,15 @@ class RemainderNorms:
     def step(self, shift: complex, h: BoundaryFunction, boundary: np.ndarray) -> list[float]:
         """The norm of R_n for every spec, in spec order; `boundary` holds
         shift + h_n on the grid."""
-        magnitude = np.abs(boundary)
+        magnitude = np.abs(boundary, out=self._magnitude)
         top = float(np.max(magnitude))
         unit = top or 1.0  # R_n = 0 has every norm 0
-        magnitude /= unit
         norms = [top] * len(self._specs)  # sup and p = inf
         for index, spec in enumerate(self._specs):
             if spec.kind == "hardy" and spec.p != math.inf:
-                norms[index] = top * float(np.mean(magnitude ** spec.p) ** (1.0 / spec.p))
-        del magnitude  # not held through the ring pass
+                norms[index] = top * float(np.mean((magnitude / unit) ** spec.p) ** (1.0 / spec.p))
+        if not self._rings:
+            return norms
         for indices, blocks in self._moduli(shift / unit, h.taylor / unit):
             for index in indices:
                 spec = self._specs[index]

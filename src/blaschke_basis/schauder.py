@@ -9,11 +9,11 @@ produces iterates h_n = T_{conj(B_n)} f and the telescoped representation
     R_N f = (-conj(lambda_N) h_{N-1}(lambda_N) + h_N) * B_N,
 
 with the convention that the n = 0 coefficient is just f(lambda_1) (its
-second term carries the empty product of index -1, taken as 0). Residual
-norms are computed from the closed form for R_N by `norms.RemainderNorms`:
-its modulus on the circle equals |h_N + constant| because |B_N| = 1 there,
-and the Bergman norms read it on interior circles; the drift between
-f and S_N f + R_N f, evaluated on the grid in nested form
+second term carries the empty product of index -1, taken as 0). Every
+residual norm, sup included, is a `norms.RemainderNorms.step` of the closed
+form for R_N: its modulus on the circle equals |h_N + constant| because
+|B_N| = 1 there, and the Bergman norms read it on interior circles; the
+drift between f and S_N f + R_N f, evaluated on the grid in nested form
 c_0 + b_1 (c_1 + b_2 (... + b_N (shift + h_N))) by `blaschke.nested_sum`,
 is tracked separately as remainder_identity_gap, a cross-check of the
 coefficient chain by a route that shares no arithmetic with it (partial
@@ -103,16 +103,15 @@ def _require_expandable(seq: PointSequence, n_terms: int) -> None:
 
 
 def _remainders(f: BoundaryFunction, points):
-    """Yield (h_{n-1}(lambda_n), shift, h_n, tail, sup) for n = 1..len(points):
-    tail = shift + h_n on the grid (|R_n f| there, as |B_n| = 1), pruned
-    synthesis into one buffer that each step overwrites, and sup its max."""
+    """Yield (h_{n-1}(lambda_n), shift, h_n, tail) for n = 1..len(points):
+    tail = shift + h_n on the grid, pruned synthesis into one buffer that each
+    step overwrites, from which `RemainderNorms.step` reads every norm, sup too."""
     tail = np.empty(f.sample_count, dtype=complex)
-    magnitude = np.empty(f.sample_count)
     for lam, (value, h) in zip(points, iterates(f, points)):
         shift = -np.conj(lam) * value
         _synthesize(h.taylor, h.live_length, out=tail)
         tail += shift
-        yield value, shift, h, tail, float(np.max(np.abs(tail, out=magnitude)))
+        yield value, shift, h, tail
 
 
 def expansion_coefficients(
@@ -131,11 +130,12 @@ def expansion_coefficients(
     points = seq.points[:n_terms]
     evals = np.empty(n_terms, dtype=complex)
     residuals = np.empty(n_terms)
-    for n, (value, _, h, tail, sup) in enumerate(_remainders(f, points)):
-        evals[n], residuals[n] = value, sup
-    # the last iterate lives on in `tail` alone: free its coefficients before
-    # the grid pass below allocates its factor arrays
-    del h
+    sup = RemainderNorms([NormSpec("sup")], (), f.sample_count)
+    for n, (value, shift, h, tail) in enumerate(_remainders(f, points)):
+        evals[n], residuals[n] = value, sup.step(shift, h, tail)[0]
+    # the last iterate lives on in `tail` alone: free its coefficients and the
+    # moduli buffer before the grid pass below allocates its factor arrays
+    del h, sup
 
     coefficients = np.empty(n_terms, dtype=complex)
     coefficients[0] = evals[0]
@@ -226,13 +226,13 @@ def convergence_study(
 ) -> ConvergenceTable:
     """Tabulate ||R_n f||_X for n = 0..n_max and each requested norm.
 
-    The sup column is always present and, because every implemented norm is
-    dominated by it with constant EMBEDDING_CONSTANT, each row is checked
-    against that domination. With kernel_alpha set (f being the kernel at
-    alpha), a final `bound` column records the closed remainder bound
-    (|B_{n-1}(alpha)| + |B_n(alpha)|) / (1 - |alpha|). Two specs with one
-    label (hardy:2 and hardy:2.0, or Bergman specs that differ only in
-    radial_nodes) would share a column, so they are rejected.
+    The sup column is always present, and first wherever it is listed: every
+    implemented norm is dominated by it with constant EMBEDDING_CONSTANT,
+    and each row is checked against that domination. With kernel_alpha set
+    (f being the kernel at alpha), a final `bound` column records the closed
+    remainder bound (|B_{n-1}(alpha)| + |B_n(alpha)|) / (1 - |alpha|). Two
+    specs with one label (hardy:2 and hardy:2.0, or Bergman specs that
+    differ only in radial_nodes) would share a column, so they are rejected.
     """
     _require_expandable(seq, n_max)
     specs = [s if isinstance(s, NormSpec) else NormSpec.parse(s) for s in norm_specs]
@@ -243,24 +243,22 @@ def convergence_study(
             f"norm {', '.join(repeated)} requested more than once; "
             "each column needs a distinct label"
         )
-    extra_specs = [s for s in specs if s.label != "sup"]
     points = seq.points[:n_max]
-
-    columns = {label: [] for label in ["sup", *(s.label for s in extra_specs)]}
-    norms = RemainderNorms(extra_specs, points, f.sample_count)
+    specs = [NormSpec("sup"), *(s for s in specs if s.label != "sup")]
+    norms = RemainderNorms(specs, points, f.sample_count)
 
     # row 0 is R_0 f = f: no shift, and B_0 = 1
-    first = (0.0, f, f.samples, sup_norm(f))
-    steps = itertools.chain([first], (step[1:] for step in _remainders(f, points)))
-    for n, (shift, h, tail, sup_val) in enumerate(steps):
-        columns["sup"].append(sup_val)
-        for spec, val in zip(extra_specs, norms.step(shift, h, tail)):
-            if val > EMBEDDING_CONSTANT * sup_val + DOMINATION_SLACK:
+    steps = itertools.chain([(0.0, f, f.samples)], (step[1:] for step in _remainders(f, points)))
+    rows = []
+    for n, (shift, h, tail) in enumerate(steps):
+        rows.append(norms.step(shift, h, tail))
+        bound = EMBEDDING_CONSTANT * rows[n][0]
+        for spec, val in zip(specs[1:], rows[n][1:]):
+            if val > bound + DOMINATION_SLACK:
                 raise AnalyticityError(
-                    f"norm {spec.label} = {val:.12g} exceeds C0 * sup = {sup_val:.12g} "
-                    f"at n = {n}"
+                    f"norm {spec.label} = {val:.12g} exceeds C0 * sup = {bound:.12g} at n = {n}"
                 )
-            columns[spec.label].append(val)
+    columns = {spec.label: list(column) for spec, column in zip(specs, zip(*rows))}
 
     if kernel_alpha is not None:
         columns["bound"] = kernel_remainder_bounds(points, kernel_alpha)

@@ -318,14 +318,28 @@ class TestConvergenceStudy:
         table = convergence_study(f, make_sequence("harmonic", 2), 2, [spec])
         assert table.columns[spec.label][0] == bergman_norm(f, spec.p, spec.alpha, spec.radial_nodes)
 
-    def test_csv_shape(self):
+    @pytest.mark.parametrize("norms, header", [
+        (["hardy:2"], "n,sup,hardy:2"),
+        # sup is the first column wherever it is listed: the domination check reads it
+        (["hardy:3", "sup", "hardy:inf"], "n,sup,hardy:3,hardy:inf"),
+    ])
+    def test_csv_shape(self, norms, header):
         seq = make_sequence("harmonic-shifted", 4)
-        table = convergence_study(from_taylor([1, 1], M), seq, 4, ["hardy:2"])
+        table = convergence_study(from_taylor([1, 1], M), seq, 4, norms)
         text = table.to_csv()
         lines = text.strip().split("\n")
-        assert lines[0] == "n,sup,hardy:2"
+        assert lines[0] == header
         assert len(lines) == 6  # header + rows n = 0..4
         assert text.endswith("\n")
+
+    def test_domination_message_reports_the_compared_bound(self, monkeypatch):
+        # with C0 = 0.5 the kernel's hardy:2 norm 1.04828483672 exceeds
+        # C0 * sup = 0.5 / (1 - 0.3) at n = 0; the message prints that product
+        monkeypatch.setattr(schauder, "EMBEDDING_CONSTANT", 0.5)
+        f = cauchy_kernel(0.3, M)
+        with pytest.raises(AnalyticityError, match=r"norm hardy:2 = 1\.04828483672 exceeds "
+                                                   r"C0 \* sup = 0\.714285714286 at n = 0$"):
+            convergence_study(f, make_sequence("harmonic", 4), 4, ["hardy:2"])
 
 
 class TestRingGrids:
@@ -437,7 +451,8 @@ def test_expansion_result_serialization():
 
 def test_residuals_bitwise_equal_to_iterate_samples():
     # the residual sup norms are synthesized into one reused buffer, by the
-    # same inverse FFT as the iterates' own samples, so they keep every bit
+    # same inverse FFT as the iterates' own samples, so they keep every bit;
+    # the expansion and the table read them from one RemainderNorms route
     rng = np.random.default_rng(37)
     seq = make_sequence("harmonic", 40)
     for _ in range(3):
@@ -446,12 +461,14 @@ def test_residuals_bitwise_equal_to_iterate_samples():
         expected = [float(np.max(np.abs(-np.conj(lam) * value + h.samples)))
                     for lam, (value, h) in zip(seq.points, iterates(f, seq.points))]
         assert expansion_coefficients(f, seq, 40).residual_sup_norms.tolist() == expected
+        assert convergence_study(f, seq, 40, ["sup"]).columns["sup"] == [sup_norm(f), *expected]
 
 
 def test_expansion_peak_memory_is_a_few_grid_vectors():
-    # the chain holds one iterate, one synthesis buffer and one moduli buffer,
-    # and the identity pass a few factor arrays: the traced peak at M = 8192,
-    # N = 500 is 4.7 complex grid vectors (16 M bytes each) with the grid
+    # the chain holds one iterate and one synthesis buffer, and the sup-only
+    # RemainderNorms one moduli buffer, freed with the last iterate before the
+    # identity pass allocates a few factor arrays: the traced peak at M = 8192,
+    # N = 500 is 4.6 complex grid vectors (16 M bytes each) with the grid
     # built inside the call, against 5.2 before the chain kept only the live
     # coefficients. Kept iterates or per-step grid arrays would break the bound.
     import tracemalloc

@@ -77,6 +77,8 @@ DATA_COMMANDS = [
     "--samples 8192 --out p.csv",
     "convergence --func ratgeo:0.8 --seq harmonic --nterms 40 "
     "--norms sup,hardy:inf,hardy:1.5,bergman:inf:0.5,bergman:6:2 --out q.csv",
+    "convergence --func kernel:0.3 --seq harmonic --nterms 20 --norms hardy:3,sup,hardy:inf "
+    "--out r.csv",
 ]
 
 #: The `file:` input: a truncated, non-entire function with complex
