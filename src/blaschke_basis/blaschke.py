@@ -199,7 +199,7 @@ def running_products(zeros, z):
         yield product
 
 
-def running_squared_moduli(zeros, z):
+def running_squared_moduli(zeros, z, work=None):
     """Yield |B_0(z)|^2, |B_1(z)|^2, ..., |B_n(z)|^2 for the prefixes of
     `zeros` at points |z| <= 1, in real arithmetic (vectorized over z of any
     shape).
@@ -209,8 +209,10 @@ def running_squared_moduli(zeros, z):
     so |b_lambda(z)|^2 = |lambda - z|^2 / |1 - conj(lambda) z|^2 is a ratio
     of sums of nonnegative terms: no complex division, and no cancellation
     as z approaches lambda. The points' coordinates are read once; each step
-    is a few real multiply-adds, done in place. The yielded array is
-    overwritten by the next step, so copy it to keep it.
+    is a few real multiply-adds, done in place in the `work` pair of float
+    arrays of z's shape (free for other use between steps; by default two
+    of its own), so it keeps x, y, 1 - |z|^2 and |B_n|^2: 32 bytes a point.
+    The yielded array is overwritten by the next step, so copy it to keep it.
 
     Its caller is the Bergman quadrature of `norms.RemainderNorms`, on circles
     inside the disk; on the unit circle itself |B_n| = 1 and no pass is needed.
@@ -220,7 +222,7 @@ def running_squared_moduli(zeros, z):
     x, y = z.real.copy(), z.imag.copy()
     del z  # the coordinates are all the steps read
     inside = 1.0 - (x * x + y * y)
-    distance, denom = np.empty_like(x), np.empty_like(x)
+    distance, denom = (np.empty_like(x), np.empty_like(x)) if work is None else work
     moduli = np.ones_like(x)
     yield moduli
     for lam in zeros:

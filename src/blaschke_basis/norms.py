@@ -32,6 +32,7 @@ _MAX_RADIAL_NODES = 1024  # the rule builds dense nodes x nodes matrices
 #: smallest power-of-two grid with r^{M_r} <= eps^2 (`ring_sample_counts`).
 RING_TOLERANCE = 1e-17
 
+RING_CHUNK_POINTS = 16384  # most points in one chunk of circles (`RemainderNorms`)
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 
@@ -208,18 +209,19 @@ class RemainderNorms:
     in one buffer the instance owns; a finite-p Bergman norm is a quadrature
     of |R_n|^2 = |shift + h_n|^2 * |B_n|^2 on the circles of its radial
     rule, shared by the specs on one set of circles, and an instance without
-    such a spec skips the ring pass. Power means are of moduli divided by
-    top = max|shift + h_n|, which bounds |R_n| on the disk, times top: no
-    tiny or huge R_n and no large Hardy p under- or overflows, but
-    bergman:1e308:0 reads 0, as every circle lies inside the disk.
+    such a spec builds no circles and no chunk buffer. Power means are of
+    moduli divided by top = max|shift + h_n|, which bounds |R_n| on the disk,
+    times top: no tiny or huge R_n and no large Hardy p under- or overflows,
+    but bergman:1e308:0 reads 0, as every circle lies inside the disk.
 
-    Circle r gets M_r equispaced points (`ring_sample_counts`), and
-    consecutive circles with one M_r form a group. What does not depend on
-    h_n is set up once per group: the power table r^k for k < min(M/2, M_r),
-    one (rows, M_r) spectrum buffer the inverse FFT overwrites in place, the
-    moduli buffer, and the running |B_n|^2 on the points
-    r * unit_circle_grid(M_r). Coefficients k >= M_r are dropped; a group
-    with M_r = M zero-pads its upper half instead.
+    Circle r gets M_r equispaced points (`ring_sample_counts`). Circles of
+    one M_r form chunks of at most RING_CHUNK_POINTS points (or one circle),
+    each keeping only its power table r^k, k < min(M/2, M_r), and its
+    `blaschke.running_squared_moduli` stream (32 bytes a point), advanced at
+    set-up to free its complex points before the next chunk's are made. Per
+    step, chunks share one complex buffer (the spectrum; its float view is
+    the streams' scratch) and one float buffer of moduli, averaged per chunk.
+    Coefficients k >= M_r are dropped; M_r = M zero-pads the upper half.
 
     Two a priori certificates hold for a circle with M_r < M (the trapezoid
     rule converges like r^{M_r}; Trefethen & Weideman, SIAM Review 2014):
@@ -234,7 +236,7 @@ class RemainderNorms:
     |R_n|^p only for even integer p, as the mean of |R_n^{p/2}|^2 with
     R_n^{p/2} analytic; for any other p, |R_n|^p is not smooth where R_n
     vanishes, so a set of circles shared with such a norm keeps all M points.
-    Each group's contiguous (rows, M_r) transform beat `fnspace._synthesize`
+    A contiguous (rows, M_r) transform per grid size beat `fnspace._synthesize`
     with radial weights, whose strided view and twiddle pass cost more: 2.04 ms
     against 2.22 ms for 619 live coefficients and 1.44 ms against 2.05 ms for
     4 (64 rings at M = 2048, one thread of a 2-core Xeon, 30-round medians).
@@ -243,11 +245,12 @@ class RemainderNorms:
     def __init__(self, specs, zeros, sample_count: int):
         self._specs = list(specs)
         self._magnitude = np.empty(sample_count)  # |shift + h_n| on the grid
+        self._hardy = [i for i, s in enumerate(self._specs) if s.kind == "hardy" and s.p < math.inf]
         shared = {}
         for index, spec in enumerate(self._specs):
             if spec.kind == "bergman" and spec.p != math.inf:
                 shared.setdefault((spec.alpha, spec.radial_nodes), []).append(index)
-        self._rings = []  # (spec indices, groups) per set of circles
+        layout = []  # (spec indices, [(M_r, radii) per chunk]) per set of circles
         for (alpha, radial_nodes), indices in shared.items():
             radii = bergman_radial_rule(alpha, radial_nodes)[0]
             sizes = (ring_sample_counts(radii, sample_count)
@@ -260,57 +263,70 @@ class RemainderNorms:
                     f"ring grids of {sorted(set(sizes.tolist()))} points for radii up to "
                     f"{np.max(radii[reduced]):.17g} certify no error below 2^-106"
                 )
-            groups, start = [], 0
+            chunks, start = [], 0
             for size, run in itertools.groupby(sizes.tolist()):
-                rows = radii[start:start + len(list(run))]
-                start += rows.size
-                width = min(sample_count // 2, size)
-                groups.append((
-                    np.power(rows[:, None], np.arange(width, dtype=float)),
-                    np.empty((rows.size, size), dtype=complex),
-                    np.empty((rows.size, size)),
-                    running_squared_moduli(zeros, rows[:, None] * unit_circle_grid(size)),
-                ))
-            self._rings.append((indices, groups))
+                stop, circles = start + len(list(run)), max(1, RING_CHUNK_POINTS // size)
+                chunks += [(size, radii[first:min(first + circles, stop)])
+                           for first in range(start, stop, circles)]
+                start = stop
+            layout.append((indices, chunks))
+        self._rings = []  # (spec indices, [(power table, |B_n|^2 stream) per chunk])
+        largest = max((size * rows.size for _, parts in layout for size, rows in parts), default=0)
+        if largest:  # the spectrum, then the values; its float view is the streams' scratch
+            self._values, self._squares = np.empty(largest, dtype=complex), np.empty(largest)
+        for indices, chunks in layout:
+            streams = []
+            for size, rows in chunks:
+                work = self._values.view(float)[:2 * rows.size * size].reshape(2, rows.size, size)
+                stream = running_squared_moduli(zeros, rows[:, None] * unit_circle_grid(size), work)
+                products = itertools.chain([next(stream)], stream)  # frees the points
+                powers = rows[:, None] ** np.arange(min(sample_count // 2, size), dtype=float)
+                streams.append((powers, products))
+            self._rings.append((indices, streams))
 
     def _moduli(self, shift: complex, taylor: np.ndarray):
-        """Yield (spec indices, one block of |shift + g|^2 |B_n|^2 rows per
-        group, in radius order, overwritten by the next step) per set of
-        circles, g the function with the given M/2 Taylor coefficients."""
-        for indices, groups in self._rings:
-            blocks = []
-            for powers, values, moduli, products in groups:
-                width = powers.shape[1]
-                np.multiply(taylor[:width], powers, out=values[:, :width])
+        """Yield (spec indices, the (rows, M_r) block of |shift + g|^2 |B_n|^2
+        in the shared buffer the next chunk overwrites) per chunk in radius
+        order, g the function with the given M/2 Taylor coefficients."""
+        for indices, streams in self._rings:
+            for powers, products in streams:
+                squared = next(products)  # its scratch pair is the buffer filled below
+                shape, width = squared.shape, powers.shape[1]
+                values = self._values[:squared.size].reshape(shape)
+                # parts apart: complex * float casts through three 128 KiB buffers
+                spectrum = values.view(float).reshape(*shape, 2)
+                np.multiply(taylor.real[:width], powers, out=spectrum[:, :width, 0])
+                np.multiply(taylor.imag[:width], powers, out=spectrum[:, :width, 1])
                 values[:, width:] = 0.0
                 # unnormalized inverse, in place: values[k] = sum_n a_n r^n omega^(n k)
                 np.fft.ifft(values, norm="forward", out=values)
                 values += shift
-                np.abs(values, out=moduli)
+                moduli = np.abs(values, out=self._squares[:squared.size].reshape(shape))
                 moduli *= moduli
-                moduli *= next(products)
-                blocks.append(moduli)
-            yield indices, blocks
+                moduli *= squared
+                yield indices, moduli
 
     def step(self, shift: complex, h: BoundaryFunction, boundary: np.ndarray) -> list[float]:
         """The norm of R_n for every spec, in spec order; `boundary` holds
         shift + h_n on the grid."""
         magnitude = np.abs(boundary, out=self._magnitude)
         top = float(np.max(magnitude))
-        unit = top or 1.0  # R_n = 0 has every norm 0
         norms = [top] * len(self._specs)  # sup and p = inf
-        for index, spec in enumerate(self._specs):
-            if spec.kind == "hardy" and spec.p != math.inf:
-                norms[index] = top * float(np.mean((magnitude / unit) ** spec.p) ** (1.0 / spec.p))
+        unit = top or 1.0  # R_n = 0 has every norm 0
+        for index in self._hardy:
+            p = self._specs[index].p
+            norms[index] = top * float(np.mean((magnitude / unit) ** p) ** (1.0 / p))
         if not self._rings:
             return norms
-        for indices, blocks in self._moduli(shift / unit, h.taylor / unit):
+        means = {index: [] for indices, _ in self._rings for index in indices}
+        for indices, block in self._moduli(shift / unit, h.taylor / unit):
             for index in indices:
-                spec = self._specs[index]
-                weights = bergman_radial_rule(spec.alpha, spec.radial_nodes)[1]
-                angular_means = np.concatenate(
-                    [np.mean(block ** (spec.p / 2.0), axis=1) for block in blocks])
-                norms[index] = top * float(np.dot(weights, angular_means) ** (1.0 / spec.p))
+                p = self._specs[index].p  # |R_n|^2 is the block itself: no copy at p = 2
+                means[index].append(np.mean(block if p == 2.0 else block ** (p / 2.0), axis=1))
+        for index, parts in means.items():
+            spec = self._specs[index]
+            weights = bergman_radial_rule(spec.alpha, spec.radial_nodes)[1]
+            norms[index] = top * float(np.dot(weights, np.concatenate(parts)) ** (1.0 / spec.p))
         return norms
 
 

@@ -36,7 +36,7 @@ def _render(obj, indent: int) -> str:
             # the float branch below, without a call per item; a FLOAT_FORMAT
             # float has at most 19 characters, so the list always fits inline
             return "[" + ", ".join(format(value, FLOAT_FORMAT) for value in obj) + "]"
-        rendered = [_render(value, indent + 1) for value in obj]
+        rendered = _float_rows(obj) or [_render(value, indent + 1) for value in obj]
         if all(len(r) <= 24 and "\n" not in r for r in rendered):
             return "[" + ", ".join(rendered) + "]"
         return "[\n" + ",\n".join(child_pad + r for r in rendered) + f"\n{pad}]"
@@ -53,6 +53,18 @@ def _render(obj, indent: int) -> str:
     if obj is None:
         return "null"
     raise PreconditionError(f"cannot serialize {type(obj).__name__} value {obj!r}")
+
+
+def _float_rows(obj) -> list[str] | None:
+    """The rendered rows of a list of equal-length lists of finite floats
+    (the Gram file's [re, im] pairs) from one %-format; None otherwise."""
+    width = len(obj[0]) if isinstance(obj[0], (list, tuple)) else 0
+    flat = [value for row in obj if isinstance(row, (list, tuple)) and len(row) == width
+            for value in row]
+    if not width or len(flat) != width * len(obj) or not all(type(v) is float for v in flat):
+        return None  # bools, ints and every other value take the recursive path
+    text = "\n".join(["[" + ", ".join(["%" + FLOAT_FORMAT] * width) + "]"] * len(obj)) % tuple(flat)
+    return None if "inf" in text or "nan" in text else text.split("\n")
 
 
 def dumps_canonical(obj) -> str:

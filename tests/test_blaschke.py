@@ -112,6 +112,21 @@ class TestRunningSquaredModuli:
         gap = max(abs(float((value - exact) / exact)) for value, exact in zip(squared, reference))
         assert gap <= 1e-14
 
+    @pytest.mark.parametrize("form", ["array", "tuple"])
+    def test_work_pair_changes_no_bit(self, form):
+        # a caller's scratch pair, overwritten between steps as the Bergman
+        # rings overwrite theirs with each chunk's synthesis, yields bit for
+        # bit the stream with scratch arrays of its own, n = 0..60
+        z = self.ring_points()
+        work = np.empty((2, *z.shape))
+        pair = work if form == "array" else (work[0], work[1])
+        plain = running_squared_moduli(self.zeros(), z)
+        shared = running_squared_moduli(self.zeros(), z, pair)
+        for n, (expected, squared) in enumerate(zip(plain, shared)):
+            assert np.array_equal(squared, expected)
+            work.fill(np.nan)
+        assert n == 60
+
     def test_first_yield_is_one_and_zero_at_a_zero(self):
         lam = 0.4 - 0.3j
         moduli = running_squared_moduli([lam], np.array([lam, 0.0, np.exp(0.3j)]))

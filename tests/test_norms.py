@@ -1,6 +1,7 @@
 """Tests for the quadrature norms and embedding checks."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -229,6 +230,31 @@ class TestRemainderNorms:
         values = RemainderNorms(specs, (), M).step(0.0, k, k.samples)
         assert values == [spec.evaluate(k) for spec in specs]
         assert values[0] != values[1]
+
+    def test_sup_only_instance_holds_one_grid_vector(self):
+        # the expansion's residual route: no circles, no chunk buffers and no
+        # Hardy index, only the M-float moduli buffer (which keeps the
+        # expand-stress peak), and each step returns [top]
+        m = 8192
+        tracemalloc.start()
+        try:
+            rings = RemainderNorms([NormSpec("sup")], (), m)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+        def arrays(obj):
+            if isinstance(obj, np.ndarray):
+                return [obj]
+            if isinstance(obj, (list, tuple)):
+                return [array for item in obj for array in arrays(item)]
+            return []
+
+        held_arrays = arrays(list(vars(rings).values()))
+        assert [(a.dtype, a.shape) for a in held_arrays] == [(np.dtype(float), (m,))]
+        assert held <= 8 * m + 2048
+        k = cauchy_kernel(0.3, m)
+        assert rings.step(0.0, k, k.samples) == [sup_norm(k)]
 
 
 class TestEmbedding:

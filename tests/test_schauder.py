@@ -27,6 +27,7 @@ from blaschke_basis import (
 )
 from blaschke_basis import blaschke, norms, schauder
 from blaschke_basis.fnspace import dilate, from_samples, unit_circle_grid
+from blaschke_basis.blaschke import running_squared_moduli
 from blaschke_basis.norms import NormSpec, RemainderNorms, bergman_radial_rule, ring_sample_counts
 from blaschke_basis.toeplitz import iterates
 
@@ -266,7 +267,7 @@ class TestConvergenceStudy:
     @pytest.mark.parametrize("case", ["harmonic-shifted", "harmonic", "poly"])
     def test_bergman_columns_match_standalone_norm(self, case):
         # The table side synthesizes each ring from the iterate's coefficients
-        # times a power table, in one batched inverse FFT per group of circles
+        # times a power table, in one batched inverse FFT per chunk of circles
         # on one grid (bergman:2:0 and bergman:2:1:32 on grids sized by
         # radius, the other p on all M points), and takes |B_n|^2 from the
         # closed-form factor moduli of running_squared_moduli. The standalone
@@ -376,16 +377,29 @@ class TestRingGrids:
             assert np.count_nonzero(sizes == m) == full
             assert sizes.sum() / (64 * m) == pytest.approx(work, abs=0.005)
 
+    @staticmethod
+    def chunk_shapes(sizes):
+        # circles of one grid in chunks of at most RING_CHUNK_POINTS points,
+        # or one circle, in radius order: 8 circles a chunk at M_r = 2048
+        shapes = []
+        for size in np.unique(sizes)[::-1]:
+            count, per_chunk = np.count_nonzero(sizes == size), max(1, 16384 // size)
+            shapes += [(min(per_chunk, count - first), size) for first in range(0, count, per_chunk)]
+        return shapes
+
     @pytest.mark.parametrize("case", list(CASES))
     def test_group_means_match_full_grid_rows(self, case):
         # every circle's angular mean of |R_n|^2 on its own grid against the
         # same circle on all M points, n = 0..N; worst relative gap measured
         # 4.4e-16 (kernel:0.3), 7.6e-16 (kernel:0.9, full band at M = 8192),
-        # 4.4e-16 (poly); the full-M group is the same computation, bitwise
+        # 4.4e-16 (poly); a circle on all M points is the same computation,
+        # bitwise. Each chunk's block lives in one buffer the next chunk
+        # overwrites, so its means are taken as it is yielded.
         make, spec, count, (alpha, nodes) = self.CASES[case]
         f = make()
         m = f.sample_count
         assert case != "kernel:0.9" or f.live_length == m // 2
+        assert norms.RING_CHUNK_POINTS == 16384
         points = make_sequence(spec, count).points[:count]
         radii = bergman_radial_rule(alpha, nodes)[0]
         sizes = ring_sample_counts(radii, m)
@@ -395,12 +409,17 @@ class TestRingGrids:
         steps = itertools.chain([(0.0, f)], ((-np.conj(lam) * value, h) for lam, (value, h)
                                              in zip(points, iterates(f, points))))
         for shift, h in steps:
-            [(_, blocks)] = grouped._moduli(shift, h.taylor)
-            assert [block.shape for block in blocks] == [
-                (np.count_nonzero(sizes == size), size) for size in np.unique(sizes)[::-1]]
-            means = np.concatenate([np.mean(block, axis=1) for block in blocks])
-            [(_, full_blocks)] = full._moduli(shift, h.taylor)
-            expected = np.mean(full_blocks[0], axis=1)
+            shapes, means = [], []
+            for indices, block in grouped._moduli(shift, h.taylor):
+                assert indices == [0]
+                shapes.append(block.shape)
+                means.append(np.mean(block, axis=1))
+            assert shapes == self.chunk_shapes(sizes)
+            means = np.concatenate(means)
+            full_blocks = [(block.shape, np.mean(block, axis=1))
+                           for _, block in full._moduli(shift, h.taylor)]
+            assert [shape for shape, _ in full_blocks] == self.chunk_shapes(np.full(nodes, m))
+            expected = np.concatenate([block_means for _, block_means in full_blocks])
             assert np.all(np.abs(means - expected) <= 1e-15 * expected)
             assert np.array_equal(means[sizes == m], expected[sizes == m])
 
@@ -419,12 +438,21 @@ class TestRingGrids:
         # bergman:1:0 shares its circles with bergman:2:0, so every circle of
         # the set keeps M points and the p = 1 column is the one of a table
         # that has it alone, bit for bit
-        sizes = []
+        sizes = []  # the grid sizes of each set of circles, set by set
 
         def recording(specs, zeros, sample_count):
-            rings = RemainderNorms(specs, zeros, sample_count)
-            sizes.extend({values.shape[1] for _, values, _, _ in groups}
-                         for _, groups in rings._rings)
+            grids = []  # the grid of each chunk's |B_n|^2 stream, in set-up order
+
+            def stream(zeros, z, work):
+                grids.append(z.shape[1])
+                return running_squared_moduli(zeros, z, work)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(norms, "running_squared_moduli", stream)
+                rings = RemainderNorms(specs, zeros, sample_count)
+            chunk_grids = iter(grids)
+            sizes.extend({next(chunk_grids) for _ in chunks} for _, chunks in rings._rings)
+            assert next(chunk_grids, None) is None
             return rings
 
         monkeypatch.setattr(schauder, "RemainderNorms", recording)
@@ -484,6 +512,32 @@ def test_expansion_peak_memory_is_a_few_grid_vectors():
     finally:
         tracemalloc.stop()
     assert peak <= 6 * 16 * m
+
+
+@pytest.mark.parametrize("a, m, spec, specs, alpha", [
+    (0.3, 2048, "harmonic-shifted", ["hardy:2", "bergman:2:0"], 0.0),
+    (0.9, 8192, "harmonic:1.7", ["bergman:2:1"], 1.0),
+])
+def test_convergence_peak_memory_per_ring_point(a, m, spec, specs, alpha):
+    # the Bergman rings keep 32 bytes a point in their |B_n|^2 streams and a
+    # power table per chunk; the per-step arrays are shared and sized to the
+    # largest chunk (16384 points). Traced peaks measured 52.9 B (M = 2048,
+    # 47,904 ring points) and 50.9 B (M = 8192, 98,080) a ring point, with
+    # the chain and the grids built inside the call; per-grid spectrum and
+    # moduli buffers, or complex points held past set-up, read 90 B.
+    import tracemalloc
+
+    f = cauchy_kernel(a, m)
+    seq = make_sequence(spec, 60)
+    ring_points = int(ring_sample_counts(bergman_radial_rule(alpha, 64)[0], m).sum())
+    unit_circle_grid.cache_clear()
+    tracemalloc.start()
+    try:
+        convergence_study(f, seq, 60, specs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * ring_points
 
 
 def test_degradation_reports_step(monkeypatch):

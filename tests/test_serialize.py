@@ -1,12 +1,14 @@
 """Tests for the canonical JSON renderer."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blaschke_basis import PreconditionError
-from blaschke_basis.serialize import dumps_canonical
+from blaschke_basis.serialize import _float_rows, _render, dumps_canonical
 
 
 def test_golden_layout():
@@ -92,3 +94,59 @@ def test_golden_gram_layout():
 def test_non_finite_values_rejected(doc):
     with pytest.raises(PreconditionError, match="non-finite"):
         dumps_canonical(doc)
+
+
+# finite floats from every bit pattern, with the edges named: signed zeros,
+# subnormals, the largest magnitudes
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e308, -1e308,
+               1.7976931348623157e308, 0.1, 1.0 / 3.0]
+FINITE = st.one_of(
+    st.sampled_from(EDGE_FLOATS),
+    st.integers(0, 2 ** 64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+    .filter(math.isfinite),
+)
+OTHER = st.one_of(st.integers(-10 ** 20, 10 ** 20), st.booleans(), st.sampled_from([0, 1, -1]),
+                  st.sampled_from([math.inf, -math.inf, math.nan]), st.none())
+
+
+def recursive_rows(rows):
+    """Each row as the item-by-item path renders it: one scalar at a time."""
+    return ["[" + ", ".join(_render(value, 0) for value in row) + "]" for row in rows]
+
+
+@settings(max_examples=400, deadline=None)
+@given(FINITE)
+def test_percent_format_is_the_float_format(value):
+    assert "%.12g" % value == format(value, ".12g")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 8), st.data())
+def test_float_rows_match_the_recursive_path(width, count, data):
+    # lists of equal-length float lists take one %-format; a value that is
+    # not exactly a finite float (ints, bools, inf, nan, None) or rows of
+    # unequal length send the list down the item-by-item path, and either
+    # way the document's text is the recursive one
+    rows = [data.draw(st.lists(FINITE, min_size=width, max_size=width)) for _ in range(count)]
+    mutation = data.draw(st.sampled_from(["none", "value", "short row"]))
+    if mutation == "value":
+        row = data.draw(st.integers(0, count - 1))
+        rows[row][data.draw(st.integers(0, width - 1))] = data.draw(OTHER)
+    elif mutation == "short row":
+        rows[data.draw(st.integers(0, count - 1))].pop()
+    fast = _float_rows(rows)
+    pure = len({len(row) for row in rows}) == 1 and rows[0] != [] and all(
+        type(value) is float and math.isfinite(value) for row in rows for value in row)
+    if not pure:
+        assert fast is None
+    if any(isinstance(value, float) and not math.isfinite(value) for row in rows for value in row):
+        with pytest.raises(PreconditionError, match="non-finite"):
+            dumps_canonical({"rows": rows})
+        return
+    expected = recursive_rows(rows)
+    if pure:
+        assert fast == expected
+    inline = all(len(text) <= 24 for text in expected)
+    body = ("[" + ", ".join(expected) + "]" if inline
+            else "[\n" + ",\n".join("    " + text for text in expected) + "\n  ]")
+    assert dumps_canonical({"rows": rows}) == "{\n  \"rows\": " + body + "\n}\n"
